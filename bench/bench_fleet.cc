@@ -29,8 +29,8 @@
  *
  * `--smoke` shrinks simulated durations for CI; fleet shapes, rates
  * and the JSON schema are identical. Every value in
- * BENCH_fleet.json derives from simulated time, so same-seed reruns
- * of the bench are byte-identical too.
+ * BENCH_fleet.json derives from simulated time or from a FakeClock,
+ * so same-seed reruns of the bench are byte-identical too.
  */
 
 #include <benchmark/benchmark.h>
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "fleet/fleet.hh"
+#include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "report.hh"
 
@@ -100,6 +101,11 @@ writeTotals(bench::JsonWriter &w, const fleet::FleetReport &r)
 int
 runFigures()
 {
+    // The embedded metric snapshot includes host-timed series
+    // (builder.pass.duration_us); a fake clock makes them, and so
+    // the whole BENCH_fleet.json, byte-reproducible.
+    obs::FakeClock fake;
+    obs::ScopedClock scoped(&fake);
     obs::MetricRegistry::global().reset();
     std::printf("=== EdgeFleet: cluster-scale serving across a "
                 "heterogeneous fleet%s ===\n",
