@@ -904,73 +904,84 @@ runFleet(const FleetConfig &cfg)
     }
 
     // ------------------------------------------------------------
-    // Phase 2 — execution replay: one GpuSim per node, each with a
-    // private MetricRegistry, so node replays parallelize with no
-    // shared metric state; registries merge into the global one in
-    // node id order afterwards (byte-identical at any thread
-    // count). Kernel traces stay off: a 500-node replay would
-    // otherwise retain every simulated launch record.
+    // Phase 2 — execution replay, one node at a time: each task
+    // builds its node's GpuSim over a private MetricRegistry,
+    // enqueues the node's plans, runs, folds measured completions
+    // back and destroys the simulator, so live op memory is one
+    // node's plan per replay thread. Nodes share nothing (each
+    // request sits in exactly one plan), so node replays
+    // parallelize and every simulator sees the same op sequence at
+    // any thread count; registries merge into the global one in
+    // node id order afterwards (byte-identical reports). Kernel
+    // traces stay off: a 500-node replay would otherwise retain
+    // every simulated launch record.
     // ------------------------------------------------------------
     std::vector<std::unique_ptr<obs::MetricRegistry>> node_regs;
-    std::vector<std::unique_ptr<gpusim::GpuSim>> sims;
     {
-        std::vector<int> streams_needed(
-            static_cast<std::size_t>(n_nodes), 1);
-        for (const FleetInstance &inst : instances)
-            streams_needed[static_cast<std::size_t>(inst.node)] =
-                std::max(
-                    streams_needed[static_cast<std::size_t>(
-                        inst.node)],
-                    inst.stream + 1);
-        for (int node = 0; node < n_nodes; node++) {
+        std::vector<std::vector<std::size_t>> node_insts(
+            static_cast<std::size_t>(n_nodes));
+        for (std::size_t i = 0; i < instances.size(); i++)
+            node_insts[static_cast<std::size_t>(instances[i].node)]
+                .push_back(i);
+        for (int node = 0; node < n_nodes; node++)
             node_regs.push_back(
                 std::make_unique<obs::MetricRegistry>());
-            sims.push_back(std::make_unique<gpusim::GpuSim>(
-                fleet.specOf(node), node_regs.back().get()));
-            for (int s = 1;
-                 s < streams_needed[static_cast<std::size_t>(node)];
-                 s++)
-                sims.back()->createStream();
-            sims.back()->setTraceMode(gpusim::TraceMode::kOff);
-        }
-
-        std::vector<std::map<
-            std::pair<int, int>,
-            std::unique_ptr<runtime::ExecutionContext>>>
-            ctxs(instances.size());
-        for (std::size_t i = 0; i < instances.size(); i++) {
-            FleetInstance &inst = instances[i];
-            auto &sim =
-                *sims[static_cast<std::size_t>(inst.node)];
-            int c = fleet.nodes[static_cast<std::size_t>(inst.node)]
-                        .dev_class;
-            for (auto &pd : inst.plan) {
-                sim.delayUntil(inst.stream, pd.t_s);
-                auto &ctx = ctxs[i][{pd.version, pd.engine_idx}];
-                if (!ctx)
-                    ctx = std::make_unique<
-                        runtime::ExecutionContext>(
-                        versions[static_cast<std::size_t>(
-                                     inst.model)]
-                                [static_cast<std::size_t>(
-                                    pd.version)]
-                                    .sets[static_cast<std::size_t>(
-                                        c)]
-                                    .engines
-                                        [static_cast<std::size_t>(
-                                            pd.engine_idx)],
-                        sim, inst.stream);
-                auto h = ctx->enqueueInference(true, true,
-                                               /*staged=*/true);
-                pd.begin = h.begin;
-                pd.upload_done = h.upload_done;
-                pd.compute_done = h.compute_done;
-                pd.end = h.end;
-            }
-        }
 
         auto runNode = [&](std::size_t node) {
-            sims[node]->run();
+            gpusim::GpuSim sim(fleet.specOf(static_cast<int>(node)),
+                               node_regs[node].get());
+            int streams = 1;
+            for (std::size_t i : node_insts[node])
+                streams = std::max(streams, instances[i].stream + 1);
+            for (int s = 1; s < streams; s++)
+                sim.createStream();
+            sim.setTraceMode(gpusim::TraceMode::kOff);
+
+            int c = fleet.nodes[node].dev_class;
+            for (std::size_t i : node_insts[node]) {
+                FleetInstance &inst = instances[i];
+                std::map<std::pair<int, int>,
+                         std::unique_ptr<runtime::ExecutionContext>>
+                    ctxs;
+                for (auto &pd : inst.plan) {
+                    sim.delayUntil(inst.stream, pd.t_s);
+                    auto &ctx = ctxs[{pd.version, pd.engine_idx}];
+                    if (!ctx)
+                        ctx = std::make_unique<
+                            runtime::ExecutionContext>(
+                            versions[static_cast<std::size_t>(
+                                         inst.model)]
+                                    [static_cast<std::size_t>(
+                                        pd.version)]
+                                        .sets[static_cast<
+                                            std::size_t>(c)]
+                                        .engines[static_cast<
+                                            std::size_t>(
+                                            pd.engine_idx)],
+                            sim, inst.stream);
+                    auto h = ctx->enqueueInference(true, true,
+                                                   /*staged=*/true);
+                    pd.begin = h.begin;
+                    pd.upload_done = h.upload_done;
+                    pd.compute_done = h.compute_done;
+                    pd.end = h.end;
+                }
+            }
+            sim.run();
+
+            // Fold measured completions back (instance order, then
+            // plan order).
+            for (std::size_t i : node_insts[node]) {
+                for (const auto &pd : instances[i].plan) {
+                    double end = sim.eventSeconds(pd.end);
+                    for (std::int64_t id : pd.request_ids) {
+                        serve::Request &r =
+                            requests[static_cast<std::size_t>(id)];
+                        r.outcome = serve::Outcome::kCompleted;
+                        r.done_s = end;
+                    }
+                }
+            }
         };
         const int threads =
             std::min(std::max(1, cfg.sim_threads), n_nodes);
@@ -987,22 +998,6 @@ runFleet(const FleetConfig &cfg)
             ThreadPool tp(threads);
             tp.parallelFor(static_cast<std::size_t>(n_nodes),
                            runNode);
-        }
-    }
-
-    // Fold measured completions back (node-major instance order,
-    // then plan order — deterministic).
-    for (const FleetInstance &inst : instances) {
-        const auto &sim =
-            *sims[static_cast<std::size_t>(inst.node)];
-        for (const auto &pd : inst.plan) {
-            double end = sim.eventSeconds(pd.end);
-            for (std::int64_t id : pd.request_ids) {
-                serve::Request &r =
-                    requests[static_cast<std::size_t>(id)];
-                r.outcome = serve::Outcome::kCompleted;
-                r.done_s = end;
-            }
         }
     }
 

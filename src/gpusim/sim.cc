@@ -79,9 +79,11 @@ GpuSim::acquireOp(OpKind kind)
 {
     std::int32_t idx = ops_.acquire();
     Op &op = ops_[idx];
-    // Recycled slots keep string capacity (kernel name / tag); every
-    // scalar field is reset here so tenants never see stale state.
+    // Recycled slots keep tag capacity; every scalar field is reset
+    // here so tenants never see stale state.
     op.kind = kind;
+    op.kernel = nullptr;
+    op.owned = -1;
     op.bytes = 0;
     op.transfers = 0;
     op.pinned = false;
@@ -120,7 +122,7 @@ void
 GpuSim::launchKernel(int stream, const KernelDesc &kernel)
 {
     std::int32_t idx = acquireOp(OpKind::kKernel);
-    ops_[idx].kernel = kernel;
+    ops_[idx].kernel = &kernel;
     pushOp(stream, idx);
     m_kernel_launches_.add();
 }
@@ -128,8 +130,12 @@ GpuSim::launchKernel(int stream, const KernelDesc &kernel)
 void
 GpuSim::launchKernel(int stream, KernelDesc &&kernel)
 {
+    std::int32_t owned = owned_kernels_.acquire();
+    KernelDesc &slot = owned_kernels_[owned];
+    slot = std::move(kernel);
     std::int32_t idx = acquireOp(OpKind::kKernel);
-    ops_[idx].kernel = std::move(kernel);
+    ops_[idx].kernel = &slot;
+    ops_[idx].owned = owned;
     pushOp(stream, idx);
     m_kernel_launches_.add();
 }
@@ -245,7 +251,7 @@ GpuSim::simStats() const
     s.ops_completed = ops_completed_;
     s.trace_records = trace_records_;
     s.arena_bytes =
-        ops_.bytesReserved() +
+        ops_.bytesReserved() + owned_kernels_.bytesReserved() +
         trace_.capacity() * sizeof(OpRecord) +
         delay_heap_.capacity() * sizeof(DelayEntry) +
         copy_ring_.bytesReserved() +
@@ -404,7 +410,7 @@ GpuSim::admitReady()
                     continue;
                 }
                 if (head.kind == OpKind::kKernel) {
-                    const KernelDesc &k = head.kernel;
+                    const KernelDesc &k = *head.kernel;
                     ActiveKernel ak;
                     ak.op_idx = idx;
                     ak.stream = si;
@@ -666,8 +672,8 @@ GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
         rec.end_s = now_;
         rec.bytes = op.bytes;
         if (op.kind == OpKind::kKernel) {
-            rec.name = op.kernel.name;
-            rec.kernel = op.kernel;
+            rec.name = op.kernel->name;
+            rec.kernel = *op.kernel;
         } else {
             rec.name = op.tag;
         }
@@ -686,6 +692,8 @@ GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
     st.busy = false;
     if (st.head != -1)
         markReady(stream);
+    if (op.owned != -1)
+        owned_kernels_.release(op.owned);
     ops_.release(op_idx);
 }
 

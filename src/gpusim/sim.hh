@@ -21,6 +21,7 @@
  *
  * Hot-path layout (the SimCore overhaul): ops live in a recycled
  * IndexPool and stream FIFOs are intrusive index lists through it;
+ * kernel ops point at their KernelDesc instead of copying it;
  * pending host delays sit in a binary-heap event calendar keyed on
  * (completion time, insertion seq); the copy backlog is a ring; and
  * share recomputation is skipped while the executing-kernel set is
@@ -134,8 +135,18 @@ class GpuSim
      */
     int createStream(double priority_weight = 1.0);
 
-    /** Enqueue a kernel launch on a stream. */
+    /**
+     * Enqueue a kernel launch on a stream. The op slot points at
+     * @p kernel instead of copying it, so the descriptor must stay
+     * alive and unchanged until the op completes in run() — the
+     * same lifetime rule runtime::ExecutionContext has for its
+     * engine, whose descriptors every context launch uses.
+     */
     void launchKernel(int stream, const KernelDesc &kernel);
+
+    /** Enqueue a temporary descriptor: it is moved into a
+     *  simulator-owned slot that the op points at until it
+     *  completes. */
     void launchKernel(int stream, KernelDesc &&kernel);
 
     /**
@@ -262,7 +273,8 @@ class GpuSim
     struct Op
     {
         OpKind kind = OpKind::kKernel;
-        KernelDesc kernel;
+        const KernelDesc *kernel = nullptr; //!< valid for kKernel
+        std::int32_t owned = -1; //!< owned_kernels_ slot, or -1
         std::uint64_t bytes = 0;
         int transfers = 0;
         bool pinned = false;
@@ -385,6 +397,7 @@ class GpuSim
     double now_ = 0.0;
     std::vector<Stream> streams_;
     IndexPool<Op> ops_;
+    IndexPool<KernelDesc> owned_kernels_; //!< rvalue launches
     std::vector<std::int32_t> ready_; //!< streams with admittable ops
     std::vector<ActiveKernel> active_;
     std::vector<DelayEntry> delay_heap_; //!< calendar (see DelayAfter)

@@ -26,6 +26,18 @@ ExecutionContext::ExecutionContext(const core::Engine &engine,
 }
 
 void
+ExecutionContext::countInference()
+{
+    // Resolved on the first enqueue rather than in the constructor,
+    // so a context that never enqueues adds no zero-valued series
+    // to a metric snapshot.
+    if (!enqueued_)
+        enqueued_ =
+            runtimeCounter("runtime.inference.enqueued", *engine_);
+    enqueued_->add();
+}
+
+void
 ExecutionContext::enqueueWeightUpload()
 {
     std::int64_t bytes = engine_->weightBytes();
@@ -42,7 +54,7 @@ InferenceHandle
 ExecutionContext::enqueueInference(bool copy_input, bool copy_output,
                                    bool staged)
 {
-    runtimeCounter("runtime.inference.enqueued", *engine_).add();
+    countInference();
     InferenceHandle h;
     h.begin = sim_->recordEvent(stream_);
     if (copy_input) {
@@ -71,7 +83,7 @@ ExecutionContext::enqueueInference(bool copy_input, bool copy_output,
 InferenceHandle
 ExecutionContext::enqueuePipelinedInference()
 {
-    runtimeCounter("runtime.inference.enqueued", *engine_).add();
+    countInference();
     if (copy_stream_ < 0)
         copy_stream_ = sim_->createStream();
     // Next frame's input upload and previous frame's output download
@@ -99,7 +111,7 @@ InferenceHandle
 ExecutionContext::enqueueStagedPipelined(int upload_stream,
                                          int download_stream)
 {
-    runtimeCounter("runtime.inference.enqueued", *engine_).add();
+    countInference();
     InferenceHandle h;
     h.begin = sim_->recordEvent(upload_stream);
     for (const auto &in : engine_->inputs())

@@ -9,8 +9,11 @@
  * timestamps.
  */
 
+#include <optional>
+
 #include "core/engine.hh"
 #include "gpusim/sim.hh"
+#include "obs/metrics.hh"
 
 namespace edgert::runtime {
 
@@ -35,7 +38,9 @@ class ExecutionContext
 {
   public:
     /**
-     * @param engine Built engine (outlives the context).
+     * @param engine Built engine; outlives the context and every
+     *        op it enqueues (the simulator's kernel ops point at
+     *        the engine's descriptors until they complete).
      * @param sim    Device simulator (outlives the context).
      * @param stream Stream this context enqueues on.
      */
@@ -95,10 +100,14 @@ class ExecutionContext
     void enqueueHostGap(double seconds);
 
   private:
+    /** Bump runtime.inference.enqueued{model=...}. */
+    void countInference();
+
     const core::Engine *engine_;
     gpusim::GpuSim *sim_;
     int stream_;
     int copy_stream_ = -1; //!< lazily created for pipelined mode
+    std::optional<obs::Counter> enqueued_; //!< resolved on first use
 };
 
 /**

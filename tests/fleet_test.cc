@@ -16,6 +16,7 @@
 #include "fleet/fleet.hh"
 #include "fleet/placement.hh"
 #include "fleet/spec.hh"
+#include "obs/metrics.hh"
 
 namespace {
 
@@ -53,6 +54,60 @@ TEST(Fleet, SameSeedByteIdenticalSerialAndParallel)
     cfg.sim_threads = 4;
     std::string parallel = fleet::runFleet(cfg).toJson();
     EXPECT_EQ(serial, parallel);
+}
+
+// Enqueue runs on the replay workers: every dispatched plan still
+// counts exactly one inference, and the merged per-node metric
+// snapshot does not depend on the replay thread count.
+TEST(Fleet, ReplayWorkersCountEveryPlanAndMergeDeterministically)
+{
+    fleet::FleetConfig cfg = smallFleet();
+    fleet::FleetModelConfig second;
+    second.model = "mobilenetv1";
+    second.slo_ms = 50.0;
+    second.arrivals.qps = 300.0;
+    cfg.models.push_back(second);
+
+    obs::MetricRegistry &global = obs::MetricRegistry::global();
+    struct Run
+    {
+        std::int64_t enqueued = 0; //!< summed over models
+        std::int64_t plans = 0;    //!< dispatched batches
+        std::string snapshot;
+    };
+    auto runWith = [&](const fleet::FleetConfig &c) {
+        global.reset();
+        fleet::FleetReport rep = fleet::runFleet(c);
+        Run r;
+        for (const auto &m : rep.models) {
+            r.enqueued += global
+                              .counter("runtime.inference.enqueued",
+                                       {{"model", m.model}})
+                              .value();
+            r.plans += m.batches;
+        }
+        r.snapshot = global.toJson({"fleet."});
+        return r;
+    };
+
+    // Latency calibration also enqueues inferences; a zero-traffic
+    // run of the same fleet counts exactly those.
+    fleet::FleetConfig idle = cfg;
+    for (auto &m : idle.models)
+        m.arrivals.qps = 0.0;
+    Run calib = runWith(idle);
+    EXPECT_EQ(calib.plans, 0);
+
+    Run serial = runWith(cfg);
+    cfg.sim_threads = 4;
+    Run parallel = runWith(cfg);
+    EXPECT_GT(serial.plans, 0);
+    EXPECT_EQ(serial.enqueued - calib.enqueued, serial.plans);
+    EXPECT_EQ(parallel.enqueued - calib.enqueued, parallel.plans);
+    EXPECT_EQ(serial.plans, parallel.plans);
+    EXPECT_NE(serial.snapshot.find("fleet.nx0.gpusim.kernel.launches"),
+              std::string::npos);
+    EXPECT_EQ(serial.snapshot, parallel.snapshot);
 }
 
 TEST(Fleet, DifferentSeedDifferentWorkload)

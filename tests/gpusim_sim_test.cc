@@ -396,6 +396,107 @@ TEST(GpuSim, DelayUntilInterleavedStreamsOverlapStages)
                        [static_cast<std::size_t>(s)]));
 }
 
+void
+expectSameRecord(const OpRecord &a, const OpRecord &b)
+{
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.stream, b.stream);
+    EXPECT_EQ(a.start_s, b.start_s);
+    EXPECT_EQ(a.end_s, b.end_s);
+    EXPECT_EQ(a.kernel.name, b.kernel.name);
+    EXPECT_EQ(a.kernel.grid_blocks, b.kernel.grid_blocks);
+    EXPECT_EQ(a.kernel.block_threads, b.kernel.block_threads);
+    EXPECT_EQ(a.kernel.max_blocks_per_sm, b.kernel.max_blocks_per_sm);
+    EXPECT_EQ(a.kernel.flops, b.kernel.flops);
+    EXPECT_EQ(a.kernel.dram_bytes, b.kernel.dram_bytes);
+}
+
+// Op slots point at the caller's descriptor for lvalue launches and
+// at a simulator-owned copy for rvalue launches; the records must
+// not tell the two apart.
+TEST(GpuSim, LvalueAndRvalueLaunchesRecordIdentically)
+{
+    DeviceSpec nx = DeviceSpec::xavierNX();
+    // Names past the small-string buffer, so the record copies a
+    // heap-allocated name in both cases.
+    KernelDesc a = kernel(12, 300'000'000, 4'000'000);
+    a.name = "trt_volta_h884cudnn_256x64_ldg8_relu_exp_small_nhwc";
+    KernelDesc b = kernel(600, 50'000'000);
+    b.name = "trt_volta_fp32_icudnn_int8x4_128x128_relu_medium_c32";
+
+    GpuSim lv(nx);
+    lv.launchKernel(0, a);
+    lv.launchKernel(0, b);
+    lv.launchKernel(0, a);
+    lv.run();
+
+    GpuSim rv(nx);
+    rv.launchKernel(0, KernelDesc(a));
+    rv.launchKernel(0, KernelDesc(b));
+    rv.launchKernel(0, KernelDesc(a));
+    rv.run();
+
+    ASSERT_EQ(lv.trace().size(), 3u);
+    ASSERT_EQ(rv.trace().size(), 3u);
+    for (std::size_t i = 0; i < 3; i++)
+        expectSameRecord(lv.trace()[i], rv.trace()[i]);
+    EXPECT_EQ(lv.trace()[1].name, b.name);
+    EXPECT_EQ(lv.trace()[2].kernel.flops, a.flops);
+    EXPECT_EQ(lv.nowSeconds(), rv.nowSeconds());
+}
+
+// One descriptor referenced by ops on two streams at once, then
+// launched again after run() recycled those op slots (and an rvalue
+// launch reused the owned-descriptor slot in between): every record
+// still carries the descriptor it was launched with.
+TEST(GpuSim, SharedDescriptorSurvivesSlotRecycling)
+{
+    DeviceSpec nx = DeviceSpec::xavierNX();
+    KernelDesc shared = kernel(6, 200'000'000);
+    shared.name = "shared_descriptor_launched_on_two_streams";
+
+    GpuSim sim(nx);
+    int s1 = sim.createStream();
+    sim.launchKernel(0, shared);
+    sim.launchKernel(s1, shared);
+    sim.launchKernel(s1, kernel(3, 1'000'000));
+    sim.run();
+    ASSERT_EQ(sim.trace().size(), 3u);
+    double first_end = sim.nowSeconds();
+
+    // Recycled slots: same descriptor on both streams again, with a
+    // different temporary ahead of it on stream 0.
+    KernelDesc other = kernel(60, 10'000'000);
+    other.name = "other_descriptor_in_recycled_slot";
+    sim.launchKernel(0, KernelDesc(other));
+    sim.launchKernel(0, shared);
+    sim.launchKernel(s1, shared);
+    sim.run();
+
+    const auto &tr = sim.trace();
+    ASSERT_EQ(tr.size(), 6u);
+    int shared_records = 0;
+    for (const OpRecord &r : tr) {
+        EXPECT_EQ(r.name, r.kernel.name);
+        if (r.name == shared.name) {
+            shared_records++;
+            EXPECT_EQ(r.kernel.grid_blocks, shared.grid_blocks);
+            EXPECT_EQ(r.kernel.flops, shared.flops);
+        }
+    }
+    EXPECT_EQ(shared_records, 4);
+    EXPECT_EQ(tr[0].name, shared.name);
+    EXPECT_EQ(tr[0].stream, 0);
+    EXPECT_EQ(tr[1].name, shared.name);
+    EXPECT_EQ(tr[1].stream, s1);
+    EXPECT_EQ(tr[0].start_s, tr[1].start_s);
+    EXPECT_EQ(tr[0].end_s, tr[1].end_s);
+    EXPECT_EQ(tr[3].name, other.name);
+    EXPECT_EQ(tr[3].kernel.grid_blocks, other.grid_blocks);
+    EXPECT_GE(tr[3].start_s, first_end);
+}
+
 /** Property sweep: makespan of N identical kernels across N streams
  *  is bounded below by work conservation and above by serial
  *  execution. */
