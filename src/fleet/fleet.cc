@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <map>
 #include <memory>
-#include <queue>
 #include <sstream>
 
 #include "common/json.hh"
@@ -13,64 +11,26 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/threadpool.hh"
-#include "core/builder.hh"
 #include "core/timing_cache.hh"
 #include "deploy/cohort.hh"
-#include "gpusim/sim.hh"
-#include "nn/model_zoo.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runtime/context.hh"
 #include "serve/batcher.hh"
-#include "serve/predictor.hh"
 #include "serve/request.hh"
 #include "serve/scheduler.hh"
 #include "serve/server.hh"
+#include "serve/serving.hh"
 #include "watch/rollup.hh"
 
 namespace edgert::fleet {
 
 namespace {
 
-/** Fleet control-plane discrete event. */
-struct Event
-{
-    enum Kind { kArrival, kTimeout, kPredFree, kFail, kRejoin, kStage };
-
-    double t = 0.0;
-    std::int64_t seq = 0; //!< push order: total, deterministic tie-break
-    Kind kind = kArrival;
-    int target = 0; //!< model, (node, model) slot, instance, node, rollout
-    std::int64_t req = -1; //!< request id or rollout stage index
-};
-
-struct EventAfter
-{
-    bool operator()(const Event &a, const Event &b) const
-    {
-        if (a.t != b.t)
-            return a.t > b.t;
-        return a.seq > b.seq;
-    }
-};
-
-/** One engine instance: a stream-bound context slot on one node. */
-struct FleetInstance
-{
-    int node = -1;
-    int model = -1;
-    int stream = 0;
-    double predicted_free_s = 0.0;
-    std::vector<serve::PlannedDispatch> plan;
-};
-
-/** One engine build generation: per-class sets and calibrations. */
-struct FleetVersion
-{
-    std::uint64_t build_id = 0;
-    std::vector<serve::EngineSet> sets;       //!< per class
-    std::vector<std::vector<double>> svc;     //!< per class, per engine
-};
+/** Control-event kinds; the target is the model (arrival), the
+ *  (node, model) slot (timeout), the instance (predicted-free), the
+ *  node (fail, rejoin) or the rollout (stage, req = stage index). */
+enum EventKind { kArrival, kTimeout, kPredFree, kFail, kRejoin, kStage };
 
 /** Mutable per-rollout progress. */
 struct RolloutState
@@ -177,53 +137,33 @@ runFleet(const FleetConfig &cfg)
     // predictions for every class in `class_mask` (null = all).
     auto buildVersion = [&](int m, std::uint64_t build_id,
                             bool use_cache,
-                            const std::vector<bool> *class_mask)
-        -> FleetVersion {
+                            const std::vector<bool> *class_mask) {
         const auto &mc = cfg.models[static_cast<std::size_t>(m)];
         EDGERT_SPAN("fleet_build",
                     {{"model", mc.model},
                      {"build", std::to_string(build_id)}});
-        FleetVersion ver;
+        serve::EngineVersion ver;
         ver.build_id = build_id;
         for (int c = 0; c < n_classes; c++) {
-            serve::EngineSet set;
-            std::vector<double> svc_c;
-            bool wanted =
-                !class_mask ||
-                (*class_mask)[static_cast<std::size_t>(c)];
-            if (wanted) {
-                const auto &spec =
-                    fleet.classes[static_cast<std::size_t>(c)].spec;
-                core::BuilderConfig bcfg;
-                bcfg.precision = mc.precision;
-                bcfg.calibration_seed = mc.calibration_seed;
-                bcfg.build_id = build_id;
-                bcfg.jobs = 1;
-                bcfg.timing_cache =
-                    use_cache
-                        ? &caches[static_cast<std::size_t>(c)]
-                        : nullptr;
-                core::Builder builder(spec, bcfg);
-                for (int b : ladders[static_cast<std::size_t>(m)]) {
-                    set.engines.push_back(builder.build(
-                        nn::buildZooModel(mc.model, b)));
-                    set.batches.push_back(b);
-                }
-                serve::LatencyPredictor pred(spec);
-                for (const auto &eng : set.engines) {
-                    pred.calibrate(eng);
-                    svc_c.push_back(
-                        pred.predictServiceSeconds(eng));
-                }
-            }
-            ver.sets.push_back(std::move(set));
-            ver.svc.push_back(std::move(svc_c));
+            auto ci = static_cast<std::size_t>(c);
+            serve::EngineSet &set = ver.sets.emplace_back();
+            if (class_mask && !(*class_mask)[ci])
+                continue;
+            core::BuilderConfig bcfg;
+            bcfg.precision = mc.precision;
+            bcfg.calibration_seed = mc.calibration_seed;
+            bcfg.build_id = build_id;
+            bcfg.jobs = 1;
+            bcfg.timing_cache = use_cache ? &caches[ci] : nullptr;
+            set = serve::buildEngineSet(
+                fleet.classes[ci].spec, bcfg, mc.model,
+                ladders[static_cast<std::size_t>(m)]);
         }
         return ver;
     };
 
     // versions[m]: generation list; index 0 is the incumbent.
-    std::vector<std::vector<FleetVersion>> versions(
+    std::vector<std::vector<serve::EngineVersion>> versions(
         static_cast<std::size_t>(n_models));
     for (int m = 0; m < n_models; m++)
         versions[static_cast<std::size_t>(m)].push_back(
@@ -234,7 +174,9 @@ runFleet(const FleetConfig &cfg)
     // make these disagree) and fill nodes in rank order up to each
     // model's nodes_pct, bounded by per-node context RAM.
     // ------------------------------------------------------------
-    std::vector<std::vector<std::string>> placement_rank_labels(
+    // Per-model outcomes that accumulate during the run (placement,
+    // sheds, batches); the report fills in the rest.
+    std::vector<FleetModelStats> mstats(
         static_cast<std::size_t>(n_models));
     std::vector<std::vector<bool>> serves(
         static_cast<std::size_t>(n_models));
@@ -243,16 +185,14 @@ runFleet(const FleetConfig &cfg)
         for (int c = 0; c < n_classes; c++)
             svc1.push_back(
                 versions[static_cast<std::size_t>(m)][0]
-                    .svc[static_cast<std::size_t>(c)]
-                    .front());
+                    .sets[static_cast<std::size_t>(c)]
+                    .service_s.front());
         auto rank = rankClasses(
             cfg.placement, fleet.classes, svc1,
             cfg.models[static_cast<std::size_t>(m)].precision);
         for (int c : rank)
-            placement_rank_labels[static_cast<std::size_t>(m)]
-                .push_back(
-                    fleet.classes[static_cast<std::size_t>(c)]
-                        .label());
+            mstats[static_cast<std::size_t>(m)].placement_rank.push_back(
+                fleet.classes[static_cast<std::size_t>(c)].label());
         serves[static_cast<std::size_t>(m)] = selectNodes(
             fleet, rank,
             cfg.models[static_cast<std::size_t>(m)].nodes_pct);
@@ -260,7 +200,7 @@ runFleet(const FleetConfig &cfg)
 
     // Instances, node-major then model order; per-node RAM budget
     // bounds how many contexts a node can actually host.
-    std::vector<FleetInstance> instances;
+    std::vector<serve::Instance> instances;
     std::vector<std::vector<int>> insts_by_nm(
         static_cast<std::size_t>(n_nodes) *
         static_cast<std::size_t>(n_models));
@@ -290,8 +230,8 @@ runFleet(const FleetConfig &cfg)
                 if (fp > budget)
                     break;
                 budget -= fp;
-                FleetInstance inst;
-                inst.node = node;
+                serve::Instance inst;
+                inst.device = node;
                 inst.model = m;
                 inst.stream = streams_made++;
                 insts_by_nm[nmSlot(node, m)].push_back(
@@ -306,8 +246,6 @@ runFleet(const FleetConfig &cfg)
     // an instance of it.
     // ------------------------------------------------------------
     std::vector<HashRing> rings;
-    std::vector<int> serving_nodes(static_cast<std::size_t>(n_models),
-                                   0);
     for (int m = 0; m < n_models; m++) {
         rings.emplace_back(cfg.seed, cfg.vnodes);
         std::vector<int> members;
@@ -315,7 +253,7 @@ runFleet(const FleetConfig &cfg)
             if (!insts_by_nm[nmSlot(node, m)].empty())
                 members.push_back(node);
         rings.back().reset(members);
-        serving_nodes[static_cast<std::size_t>(m)] =
+        mstats[static_cast<std::size_t>(m)].serving_nodes =
             static_cast<int>(members.size());
         if (members.empty())
             warn("EdgeFleet: model '",
@@ -327,32 +265,8 @@ runFleet(const FleetConfig &cfg)
     // Workload: per-model fleet-wide arrival streams from forked
     // Rng streams, merged into one id-ordered request table.
     // ------------------------------------------------------------
-    std::vector<serve::Request> requests;
-    {
-        Rng root(cfg.seed);
-        Rng workload_rng = root.fork("workload");
-        std::vector<std::pair<double, int>> merged;
-        for (int m = 0; m < n_models; m++) {
-            Rng rng = workload_rng.fork(
-                static_cast<std::uint64_t>(m));
-            for (double t : serve::generateArrivals(
-                     cfg.models[static_cast<std::size_t>(m)]
-                         .arrivals,
-                     cfg.duration_s, rng))
-                merged.emplace_back(t, m);
-        }
-        std::sort(merged.begin(), merged.end());
-        requests.reserve(merged.size());
-        for (const auto &[t, m] : merged) {
-            serve::Request r;
-            r.id = static_cast<std::int64_t>(requests.size());
-            r.model = m;
-            r.arrival_s = t;
-            r.slo_ms =
-                cfg.models[static_cast<std::size_t>(m)].slo_ms;
-            requests.push_back(r);
-        }
-    }
+    std::vector<serve::Request> requests =
+        serve::requestTable(cfg.models, cfg.duration_s, cfg.seed);
 
     // ------------------------------------------------------------
     // Phase 1 — fleet control loop. Per-(node, model) queues and
@@ -386,33 +300,13 @@ runFleet(const FleetConfig &cfg)
             cfg.slo);
     watch::AlertRollup rollup;
 
-    std::priority_queue<Event, std::vector<Event>, EventAfter> evq;
-    std::int64_t seq = 0;
-    for (const auto &r : requests) {
-        Event e;
-        e.t = r.arrival_s;
-        e.seq = seq++;
-        e.kind = Event::kArrival;
-        e.target = r.model;
-        e.req = r.id;
-        evq.push(e);
-    }
-    for (std::size_t f = 0; f < cfg.failures.size(); f++) {
-        const FailureSpec &fs = cfg.failures[f];
-        Event e;
-        e.t = fs.fail_s;
-        e.seq = seq++;
-        e.kind = Event::kFail;
-        e.target = fs.node;
-        evq.push(e);
-        if (fs.rejoin_s >= 0.0) {
-            Event r;
-            r.t = fs.rejoin_s;
-            r.seq = seq++;
-            r.kind = Event::kRejoin;
-            r.target = fs.node;
-            evq.push(r);
-        }
+    serve::ControlQueue evq;
+    for (const auto &r : requests)
+        evq.push(r.arrival_s, kArrival, r.model, r.id);
+    for (const FailureSpec &fs : cfg.failures) {
+        evq.push(fs.fail_s, kFail, fs.node);
+        if (fs.rejoin_s >= 0.0)
+            evq.push(fs.rejoin_s, kRejoin, fs.node);
     }
     std::vector<RolloutState> ro_states(cfg.rollouts.size());
     std::vector<RolloutStats> ro_stats(cfg.rollouts.size());
@@ -421,22 +315,12 @@ runFleet(const FleetConfig &cfg)
         ro_states[ro].model = modelIndex(spec.model);
         ro_stats[ro].model = spec.model;
         ro_stats[ro].candidate_build_id = spec.candidate_build_id;
-        for (std::size_t s = 0; s < spec.stages.size(); s++) {
-            Event e;
-            e.t = spec.stages[s].t_s;
-            e.seq = seq++;
-            e.kind = Event::kStage;
-            e.target = static_cast<int>(ro);
-            e.req = static_cast<std::int64_t>(s);
-            evq.push(e);
-        }
+        for (std::size_t s = 0; s < spec.stages.size(); s++)
+            evq.push(spec.stages[s].t_s, kStage, static_cast<int>(ro),
+                     static_cast<std::int64_t>(s));
     }
 
     std::vector<FleetEvent> events;
-    std::vector<std::int64_t> model_shed(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> model_batches(
-        static_cast<std::size_t>(n_models), 0);
     std::vector<std::int64_t> model_dispatched(
         static_cast<std::size_t>(n_models), 0);
     // Next plan entry whose predicted completion is unobserved.
@@ -445,21 +329,21 @@ runFleet(const FleetConfig &cfg)
     auto ladderOf = [&](int m) -> const std::vector<int> & {
         return ladders[static_cast<std::size_t>(m)];
     };
-    auto svcOf = [&](int node, int m) -> const std::vector<double> & {
+    auto setOf = [&](int node, int m) -> const serve::EngineSet & {
         int c = fleet.nodes[static_cast<std::size_t>(node)]
                     .dev_class;
         int v = active_ver[nmSlot(node, m)];
         return versions[static_cast<std::size_t>(m)]
                        [static_cast<std::size_t>(v)]
-                           .svc[static_cast<std::size_t>(c)];
+                           .sets[static_cast<std::size_t>(c)];
     };
 
     auto viewOf = [&](int node, int m) {
         serve::BackendView view;
         view.ladder = ladderOf(m);
-        const auto &svc = svcOf(node, m);
+        const auto &svc = setOf(node, m).service_s;
         for (int idx : insts_by_nm[nmSlot(node, m)]) {
-            const FleetInstance &inst =
+            const serve::Instance &inst =
                 instances[static_cast<std::size_t>(idx)];
             serve::BackendView::InstanceView iv;
             iv.free_s = inst.predicted_free_s;
@@ -477,19 +361,12 @@ runFleet(const FleetConfig &cfg)
         auto &q = queues[slot];
         const auto &batcher =
             batchers[static_cast<std::size_t>(m)];
-        const auto &svc = svcOf(node, m);
-        int c = fleet.nodes[static_cast<std::size_t>(node)]
-                    .dev_class;
-        int v = active_ver[slot];
-        const serve::EngineSet &set =
-            versions[static_cast<std::size_t>(m)]
-                    [static_cast<std::size_t>(v)]
-                        .sets[static_cast<std::size_t>(c)];
+        const serve::EngineSet &set = setOf(node, m);
         while (!q.empty()) {
             // Earliest predicted-free instance (ties: lowest idx).
             int best = -1;
             for (int idx : insts_by_nm[slot]) {
-                const FleetInstance &inst =
+                const serve::Instance &inst =
                     instances[static_cast<std::size_t>(idx)];
                 if (inst.predicted_free_s > t)
                     continue;
@@ -505,17 +382,9 @@ runFleet(const FleetConfig &cfg)
                 q.size(), q.oldestArrivalSeconds(), t);
             if (cut == 0)
                 break;
-            FleetInstance &inst =
-                instances[static_cast<std::size_t>(best)];
-            int eidx = set.indexFor(cut);
-            double svc_s = svc[static_cast<std::size_t>(eidx)];
-            serve::PlannedDispatch pd;
-            pd.t_s = t;
-            pd.engine_idx = eidx;
-            pd.version = v;
-            pd.batch = cut;
-            pd.request_ids = q.cut(cut);
-            pd.predicted_service_s = svc_s;
+            const serve::PlannedDispatch &pd = serve::planDispatch(
+                evq, instances, best, set, active_ver[slot], t,
+                q.cut(cut), kPredFree);
             for (std::int64_t id : pd.request_ids) {
                 serve::Request &r =
                     requests[static_cast<std::size_t>(id)];
@@ -523,28 +392,15 @@ runFleet(const FleetConfig &cfg)
                 r.batch = cut;
                 r.device = node;
                 r.instance = best;
-                r.version = v;
+                r.version = pd.version;
             }
-            inst.plan.push_back(std::move(pd));
-            inst.predicted_free_s = t + svc_s;
-            Event e;
-            e.t = inst.predicted_free_s;
-            e.seq = seq++;
-            e.kind = Event::kPredFree;
-            e.target = best;
-            evq.push(e);
-            model_batches[static_cast<std::size_t>(m)]++;
+            mstats[static_cast<std::size_t>(m)].batches++;
             model_dispatched[static_cast<std::size_t>(m)] += cut;
         }
-        if (!q.empty() && q.frontId() != timeout_armed[slot]) {
-            timeout_armed[slot] = q.frontId();
-            Event e;
-            e.t = batcher.deadlineFor(q.oldestArrivalSeconds());
-            e.seq = seq++;
-            e.kind = Event::kTimeout;
-            e.target = static_cast<int>(slot);
-            evq.push(e);
-        }
+        if (!q.empty())
+            evq.armTimeout(timeout_armed[slot], q.frontId(),
+                           batcher.deadlineFor(q.oldestArrivalSeconds()),
+                           kTimeout, static_cast<int>(slot));
     };
 
     // Quarantine can fire mid-observation, so declare first.
@@ -579,7 +435,7 @@ runFleet(const FleetConfig &cfg)
             HashRing &ring = rings[static_cast<std::size_t>(m)];
             if (ring.empty()) {
                 r.outcome = serve::Outcome::kShed;
-                model_shed[static_cast<std::size_t>(m)]++;
+                mstats[static_cast<std::size_t>(m)].shed++;
                 return;
             }
             std::uint64_t key = ring.keyFor(id);
@@ -614,7 +470,7 @@ runFleet(const FleetConfig &cfg)
                     static_cast<int>(q.size()), t, q.rateHz());
                 if (est_s * 1e3 > r.slo_ms) {
                     r.outcome = serve::Outcome::kShed;
-                    model_shed[static_cast<std::size_t>(m)]++;
+                    mstats[static_cast<std::size_t>(m)].shed++;
                     trackerObserve(node, t, true);
                     return;
                 }
@@ -623,11 +479,12 @@ runFleet(const FleetConfig &cfg)
             tryDispatch(node, m, t);
         };
 
-    // Remove a node from every ring and re-route its queued
-    // requests (in-flight dispatches stay planned and drain in the
-    // replay — nothing is dropped). Returns (rerouted, remap_pct).
-    auto removeAndReroute =
-        [&](int node, double t) -> std::pair<std::int64_t, double> {
+    // Remove a node from every ring, re-route its queued requests
+    // (in-flight dispatches stay planned and drain in the replay —
+    // nothing is dropped) and record the membership event. Returns
+    // the number of re-routed requests.
+    auto removeNode = [&](int node, double t, const char *kind,
+                          const char *reason) {
         std::int64_t moved = 0;
         double remap_sum = 0.0;
         int remap_n = 0;
@@ -649,25 +506,17 @@ runFleet(const FleetConfig &cfg)
                 routeRequest(m, id, t, false);
             }
         }
-        return {moved,
-                remap_n > 0 ? remap_sum /
-                                  static_cast<double>(remap_n)
-                            : 0.0};
+        events.push_back(
+            {t, node, fleet.nodes[static_cast<std::size_t>(node)].name,
+             kind, reason, moved,
+             remap_n > 0 ? remap_sum / static_cast<double>(remap_n)
+                         : 0.0});
+        return moved;
     };
 
     quarantineNode = [&](int node, const char *reason, double t) {
         quarantined[static_cast<std::size_t>(node)] = true;
-        auto [moved, remap] = removeAndReroute(node, t);
-        FleetEvent ev;
-        ev.t_s = t;
-        ev.node = node;
-        ev.node_name =
-            fleet.nodes[static_cast<std::size_t>(node)].name;
-        ev.kind = "quarantine";
-        ev.reason = reason;
-        ev.rerouted = moved;
-        ev.remap_pct = remap;
-        events.push_back(std::move(ev));
+        std::int64_t moved = removeNode(node, t, "quarantine", reason);
         warn("EdgeFleet: quarantined node ",
              fleet.nodes[static_cast<std::size_t>(node)].name,
              " at t=", t, "s (", reason, "), rerouted ", moved,
@@ -694,7 +543,7 @@ runFleet(const FleetConfig &cfg)
                 class_mask[static_cast<std::size_t>(
                     fleet.nodes[static_cast<std::size_t>(node)]
                         .dev_class)] = true;
-        FleetVersion cand = buildVersion(
+        serve::EngineVersion cand = buildVersion(
             m, spec.candidate_build_id, false, &class_mask);
         deploy::DriftGate gate(spec.gate);
         st.class_ok.assign(static_cast<std::size_t>(n_classes),
@@ -750,13 +599,12 @@ runFleet(const FleetConfig &cfg)
                     {{"requests",
                       std::to_string(requests.size())}});
         while (!evq.empty()) {
-            Event e = evq.top();
-            evq.pop();
+            serve::ControlEvent e = evq.pop();
             switch (e.kind) {
-              case Event::kArrival:
+              case kArrival:
                   routeRequest(e.target, e.req, e.t, true);
                   break;
-              case Event::kTimeout: {
+              case kTimeout: {
                   auto slot = static_cast<std::size_t>(e.target);
                   tryDispatch(
                       static_cast<int>(slot /
@@ -768,11 +616,11 @@ runFleet(const FleetConfig &cfg)
                       e.t);
                   break;
               }
-              case Event::kPredFree: {
+              case kPredFree: {
                   auto ii = static_cast<std::size_t>(e.target);
                   if (next_obs.size() <= ii)
                       next_obs.resize(instances.size(), 0);
-                  FleetInstance &inst = instances[ii];
+                  serve::Instance &inst = instances[ii];
                   // Predicted completion of the next unobserved
                   // dispatch: feed each request's predicted SLO
                   // verdict to the node's burn-rate tracker (the
@@ -786,31 +634,20 @@ runFleet(const FleetConfig &cfg)
                           requests[static_cast<std::size_t>(id)];
                       bool bad =
                           (e.t - r.arrival_s) * 1e3 > r.slo_ms;
-                      trackerObserve(inst.node, e.t, bad);
+                      trackerObserve(inst.device, e.t, bad);
                   }
-                  tryDispatch(inst.node, inst.model, e.t);
+                  tryDispatch(inst.device, inst.model, e.t);
                   break;
               }
-              case Event::kFail: {
+              case kFail: {
                   int node = e.target;
                   if (failed[static_cast<std::size_t>(node)])
                       break;
                   failed[static_cast<std::size_t>(node)] = true;
-                  auto [moved, remap] =
-                      removeAndReroute(node, e.t);
-                  FleetEvent ev;
-                  ev.t_s = e.t;
-                  ev.node = node;
-                  ev.node_name =
-                      fleet.nodes[static_cast<std::size_t>(node)]
-                          .name;
-                  ev.kind = "fail";
-                  ev.rerouted = moved;
-                  ev.remap_pct = remap;
-                  events.push_back(std::move(ev));
+                  removeNode(node, e.t, "fail", "");
                   break;
               }
-              case Event::kRejoin: {
+              case kRejoin: {
                   int node = e.target;
                   if (!failed[static_cast<std::size_t>(node)])
                       break;
@@ -831,22 +668,16 @@ runFleet(const FleetConfig &cfg)
                           remap_n++;
                       }
                   }
-                  FleetEvent ev;
-                  ev.t_s = e.t;
-                  ev.node = node;
-                  ev.node_name =
-                      fleet.nodes[static_cast<std::size_t>(node)]
-                          .name;
-                  ev.kind = "rejoin";
-                  ev.remap_pct =
-                      remap_n > 0
-                          ? remap_sum /
-                                static_cast<double>(remap_n)
-                          : 0.0;
-                  events.push_back(std::move(ev));
+                  events.push_back(
+                      {e.t, node,
+                       fleet.nodes[static_cast<std::size_t>(node)].name,
+                       "rejoin", "", 0,
+                       remap_n > 0
+                           ? remap_sum / static_cast<double>(remap_n)
+                           : 0.0});
                   break;
               }
-              case Event::kStage: {
+              case kStage: {
                   auto ro = static_cast<std::size_t>(e.target);
                   const RolloutSpec &spec = cfg.rollouts[ro];
                   RolloutState &st = ro_states[ro];
@@ -921,7 +752,7 @@ runFleet(const FleetConfig &cfg)
         std::vector<std::vector<std::size_t>> node_insts(
             static_cast<std::size_t>(n_nodes));
         for (std::size_t i = 0; i < instances.size(); i++)
-            node_insts[static_cast<std::size_t>(instances[i].node)]
+            node_insts[static_cast<std::size_t>(instances[i].device)]
                 .push_back(i);
         for (int node = 0; node < n_nodes; node++)
             node_regs.push_back(
@@ -938,35 +769,16 @@ runFleet(const FleetConfig &cfg)
             sim.setTraceMode(gpusim::TraceMode::kOff);
 
             int c = fleet.nodes[node].dev_class;
-            for (std::size_t i : node_insts[node]) {
-                FleetInstance &inst = instances[i];
-                std::map<std::pair<int, int>,
-                         std::unique_ptr<runtime::ExecutionContext>>
-                    ctxs;
-                for (auto &pd : inst.plan) {
-                    sim.delayUntil(inst.stream, pd.t_s);
-                    auto &ctx = ctxs[{pd.version, pd.engine_idx}];
-                    if (!ctx)
-                        ctx = std::make_unique<
-                            runtime::ExecutionContext>(
-                            versions[static_cast<std::size_t>(
-                                         inst.model)]
-                                    [static_cast<std::size_t>(
-                                        pd.version)]
-                                        .sets[static_cast<
-                                            std::size_t>(c)]
-                                        .engines[static_cast<
-                                            std::size_t>(
-                                            pd.engine_idx)],
-                            sim, inst.stream);
-                    auto h = ctx->enqueueInference(true, true,
-                                                   /*staged=*/true);
-                    pd.begin = h.begin;
-                    pd.upload_done = h.upload_done;
-                    pd.compute_done = h.compute_done;
-                    pd.end = h.end;
-                }
-            }
+            for (std::size_t i : node_insts[node])
+                serve::enqueuePlan(
+                    sim, instances[i],
+                    versions[static_cast<std::size_t>(
+                        instances[i].model)],
+                    c, instances[i].stream, instances[i].stream,
+                    [](runtime::ExecutionContext &ctx) {
+                        return ctx.enqueueInference(true, true,
+                                                    /*staged=*/true);
+                    });
             sim.run();
 
             // Fold measured completions back (instance order, then
@@ -1039,6 +851,7 @@ runFleet(const FleetConfig &cfg)
     std::vector<double> all_lat;
     for (const serve::Request &r : requests) {
         report.offered++;
+        mstats[static_cast<std::size_t>(r.model)].offered++;
         if (r.outcome == serve::Outcome::kShed) {
             report.shed++;
             continue;
@@ -1078,8 +891,8 @@ runFleet(const FleetConfig &cfg)
         for (int m = 0; m < n_models; m++)
             cs.svc1_ms.push_back(
                 versions[static_cast<std::size_t>(m)][0]
-                    .svc[static_cast<std::size_t>(c)]
-                    .front() *
+                    .sets[static_cast<std::size_t>(c)]
+                    .service_s.front() *
                 1e3);
         report.classes.push_back(std::move(cs));
     }
@@ -1087,19 +900,12 @@ runFleet(const FleetConfig &cfg)
     for (int m = 0; m < n_models; m++) {
         auto mi = static_cast<std::size_t>(m);
         const auto &mc = cfg.models[mi];
-        FleetModelStats s;
+        FleetModelStats &s = mstats[mi];
         s.model = mc.model;
         s.slo_ms = mc.slo_ms;
-        s.serving_nodes = serving_nodes[mi];
-        s.placement_rank = placement_rank_labels[mi];
-        for (const serve::Request &r : requests)
-            if (r.model == m)
-                s.offered++;
-        s.shed = model_shed[mi];
         s.completed =
             static_cast<std::int64_t>(model_lat[mi].size());
         s.slo_violations = s.completed - within_slo[mi];
-        s.batches = model_batches[mi];
         s.offered_qps =
             static_cast<double>(s.offered) / cfg.duration_s;
         s.goodput_qps = static_cast<double>(within_slo[mi]) /
@@ -1122,8 +928,8 @@ runFleet(const FleetConfig &cfg)
             s.max_ms = *std::max_element(model_lat[mi].begin(),
                                          model_lat[mi].end());
         }
-        report.models.push_back(std::move(s));
     }
+    report.models = std::move(mstats);
 
     for (std::size_t g = 0; g < fleet.groups.size(); g++) {
         FleetGroupStats gs;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
+#include "common/fileio.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -450,10 +450,7 @@ MetricRegistry::toJson(
 void
 MetricRegistry::save(const std::string &path) const
 {
-    std::ofstream f(path);
-    if (!f)
-        fatal("MetricRegistry::save: cannot open '", path, "'");
-    writeJson(f);
+    writeFileChecked(path, toJson());
 }
 
 namespace {
@@ -645,11 +642,14 @@ MetricRegistry::toPromText(
 void
 MetricRegistry::savePromText(const std::string &path) const
 {
-    std::ofstream f(path);
-    if (!f)
-        fatal("MetricRegistry::savePromText: cannot open '", path,
-              "'");
-    writePromText(f);
+    writeFileChecked(path, toPromText());
+}
+
+void
+MetricRegistry::saveAs(const std::string &path,
+                       const std::string &format) const
+{
+    writeFileChecked(path, format == "prom" ? toPromText() : toJson());
 }
 
 MetricRegistry &

@@ -271,6 +271,10 @@ class MetricRegistry
     /** Write toPromText() to a file; fatal() on I/O error. */
     void savePromText(const std::string &path) const;
 
+    /** save() for `format` "json", savePromText() for "prom" (the
+     *  CLIs' --metrics-format values). */
+    void saveAs(const std::string &path, const std::string &format) const;
+
     /** The process-wide registry the built-in instrumentation
      *  records into. */
     static MetricRegistry &global();

@@ -37,6 +37,9 @@ struct EngineSet
     std::vector<core::Engine> engines;
     std::vector<int> batches; //!< batch size of engines[i]
 
+    /** Calibrated predicted service seconds of engines[i]. */
+    std::vector<double> service_s;
+
     /** Index of the smallest engine fitting `batch` requests. */
     int indexFor(int batch) const;
 
@@ -109,9 +112,6 @@ class InstancePool
      * index), or -1 when all are predicted busy.
      */
     int freeInstance(int model, double now_s) const;
-
-    /** Earliest predicted_free_s over `model`'s instances. */
-    double earliestFree(int model) const;
 
     /** Bytes of context footprint placed on `device`. */
     std::int64_t ramUsedBytes(int device) const;

@@ -3,28 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <queue>
 #include <set>
 #include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/status.hh"
-#include "common/threadpool.hh"
-#include "core/builder.hh"
 #include "core/timing_cache.hh"
-#include "gpusim/sim.hh"
-#include "nn/model_zoo.hh"
-#include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "profile/trace_export.hh"
 #include "runtime/context.hh"
 #include "runtime/measure.hh"
 #include "serve/batcher.hh"
-#include "serve/predictor.hh"
-#include "serve/scheduler.hh"
 
 namespace edgert::serve {
 
@@ -40,27 +31,9 @@ parseDevice(const std::string &name)
 
 namespace {
 
-/** Control-plane discrete event. */
-struct Event
-{
-    enum Kind { kArrival, kTimeout, kPredFree, kSwapBegin, kSwapReady };
-
-    double t = 0.0;
-    std::int64_t seq = 0; //!< push order: total, deterministic tie-break
-    Kind kind = kArrival;
-    int target = 0;       //!< model (arrival/timeout), instance, or swap
-    std::int64_t req = -1;
-};
-
-struct EventAfter
-{
-    bool operator()(const Event &a, const Event &b) const
-    {
-        if (a.t != b.t)
-            return a.t > b.t;
-        return a.seq > b.seq;
-    }
-};
+/** Control-event kinds; the target is the model (arrival,
+ *  timeout), the instance (predicted-free) or the swap. */
+enum EventKind { kArrival, kTimeout, kPredFree, kSwapBegin, kSwapReady };
 
 /** Per-model obs:: handles (created once, recorded in sim order). */
 struct ModelMetrics
@@ -78,28 +51,17 @@ struct ModelMetrics
     obs::Histogram predictor_err;
 
     explicit ModelMetrics(const std::string &model)
-        : offered(obs::MetricRegistry::global().counter(
-              "serve.request.offered", {{"model", model}})),
-          shed(obs::MetricRegistry::global().counter(
-              "serve.request.shed", {{"model", model}})),
-          completed(obs::MetricRegistry::global().counter(
-              "serve.request.completed", {{"model", model}})),
-          violations(obs::MetricRegistry::global().counter(
-              "serve.request.slo_violations", {{"model", model}})),
-          batches(obs::MetricRegistry::global().counter(
-              "serve.batch.dispatched", {{"model", model}})),
-          load_failures(obs::MetricRegistry::global().counter(
-              "serve.engine.load_failures", {{"model", model}})),
-          rebuilds(obs::MetricRegistry::global().counter(
-              "serve.engine.rebuilds", {{"model", model}})),
-          queue_depth(obs::MetricRegistry::global().histogram(
-              "serve.queue.depth", {{"model", model}})),
-          batch_size(obs::MetricRegistry::global().histogram(
-              "serve.batch.size", {{"model", model}})),
-          latency_ms(obs::MetricRegistry::global().histogram(
-              "serve.request.latency_ms", {{"model", model}})),
-          predictor_err(obs::MetricRegistry::global().histogram(
-              "serve.predictor.error_pct", {{"model", model}}))
+        : offered(modelCounter("serve.request.offered", model)),
+          shed(modelCounter("serve.request.shed", model)),
+          completed(modelCounter("serve.request.completed", model)),
+          violations(modelCounter("serve.request.slo_violations", model)),
+          batches(modelCounter("serve.batch.dispatched", model)),
+          load_failures(modelCounter("serve.engine.load_failures", model)),
+          rebuilds(modelCounter("serve.engine.rebuilds", model)),
+          queue_depth(modelHistogram("serve.queue.depth", model)),
+          batch_size(modelHistogram("serve.batch.size", model)),
+          latency_ms(modelHistogram("serve.request.latency_ms", model)),
+          predictor_err(modelHistogram("serve.predictor.error_pct", model))
     {}
 };
 
@@ -125,9 +87,10 @@ runServer(const ServeConfig &cfg)
     const int n_models = static_cast<int>(cfg.models.size());
     const int n_devices = static_cast<int>(cfg.devices.size());
 
-    // Effective per-model batch policies: the no-batching baseline
-    // forces FIFO single-request dispatch.
+    // Effective per-model batch policies (the no-batching baseline
+    // forces FIFO single-request dispatch) and engine-batch ladders.
     std::vector<BatchPolicy> policies;
+    std::vector<std::vector<int>> ladders;
     for (const auto &mc : cfg.models) {
         BatchPolicy p = mc.batching;
         if (!cfg.dynamic_batching) {
@@ -135,6 +98,7 @@ runServer(const ServeConfig &cfg)
             p.timeout_us = 0.0;
         }
         policies.push_back(p);
+        ladders.push_back(engineBatchLadder(p.max_batch));
     }
 
     // Per-model obs handles are created up front so the fault
@@ -148,42 +112,20 @@ runServer(const ServeConfig &cfg)
     // Build: engines come in *versions* — the version the run
     // starts with (index 0, built from cfg.build_id with one shared
     // timing cache so same-signature nodes measure once) plus any
-    // candidate versions hot-swapped in mid-run. A version holds
-    // one EngineSet per device (the power-of-two batch ladder) and
-    // the calibrated per-engine service predictions the control
-    // plane dispatches with. Engine loads are fallible — injected
-    // faults stand in for corrupt or missing plan files — and each
-    // failure is retried (a rebuild) up to faults.max_load_attempts.
-    // A (model, device) pair whose loads keep failing is left
-    // without engines; the placement below routes around it.
+    // candidate versions hot-swapped in mid-run. Engine loads are
+    // fallible — injected faults stand in for corrupt or missing
+    // plan files — and each failure is retried (a rebuild) up to
+    // faults.max_load_attempts. A (model, device) pair whose loads
+    // keep failing is left without engines; the placement below
+    // routes around it.
     // ------------------------------------------------------------
-    struct ModelVersion
-    {
-        std::uint64_t build_id = 0;
-        std::vector<EngineSet> sets;          //!< per device
-        std::vector<std::vector<double>> svc; //!< [device][engine]
-
-        bool availableOn(int d) const
-        {
-            return !sets[static_cast<std::size_t>(d)]
-                        .engines.empty();
-        }
-        bool available() const
-        {
-            for (const auto &s : sets)
-                if (!s.engines.empty())
-                    return true;
-            return false;
-        }
-    };
     core::TimingCache timing_cache;
-    std::vector<std::vector<ModelVersion>> versions(
+    std::vector<std::vector<EngineVersion>> versions(
         static_cast<std::size_t>(n_models));
     std::vector<int> active(static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> load_failures(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> rebuilds(
-        static_cast<std::size_t>(n_models), 0);
+    // Per-model outcomes that accumulate during the run (engine-load
+    // faults, degradation, hot-swaps); the report fills in the rest.
+    std::vector<ModelStats> stats(static_cast<std::size_t>(n_models));
 
     std::map<std::string, int> fault_budget =
         cfg.faults.engine_load_failures;
@@ -197,97 +139,53 @@ runServer(const ServeConfig &cfg)
     // kernels is exactly what the deploy layer's drift gate
     // screens, and a tactic-frozen rebuild would make hot-swapping
     // moot. device_mask (nullptr = every device) restricts which
-    // devices load; the calibration lambdas are deliberately not
-    // shared across the batch ladder (a shared table leaves each
-    // engine with a small systematic bias, and at saturation that
-    // bias accumulates in the instances' predicted-free times until
-    // admission control is reasoning about a timeline minutes
-    // adrift of the replay).
+    // devices load.
     auto buildVersion = [&](int m, std::uint64_t build_id,
                             nn::Precision precision,
                             std::uint64_t calibration_seed,
                             std::map<std::string, int> &budget,
                             bool use_cache,
                             const std::vector<bool> *device_mask)
-        -> ModelVersion {
-        const auto &mc = cfg.models[static_cast<std::size_t>(m)];
+        -> EngineVersion {
+        const auto mi = static_cast<std::size_t>(m);
+        const auto &mc = cfg.models[mi];
         EDGERT_SPAN("serve_load_version",
                     {{"model", mc.model},
                      {"build", std::to_string(build_id)}});
-        ModelVersion ver;
+        EngineVersion ver;
         ver.build_id = build_id;
-        auto ladder = engineBatchLadder(
-            policies[static_cast<std::size_t>(m)].max_batch);
+        core::BuilderConfig bcfg;
+        bcfg.precision = precision;
+        bcfg.calibration_seed = calibration_seed;
+        bcfg.build_id = build_id;
+        bcfg.jobs = cfg.build_jobs;
+        bcfg.timing_cache = use_cache ? &timing_cache : nullptr;
         for (int d = 0; d < n_devices; d++) {
-            EngineSet set;
-            std::vector<double> svc_d;
-            bool wanted =
-                !device_mask ||
-                (*device_mask)[static_cast<std::size_t>(d)];
-            if (wanted) {
-                const auto &spec =
-                    cfg.devices[static_cast<std::size_t>(d)];
-                core::BuilderConfig bcfg;
-                bcfg.precision = precision;
-                bcfg.calibration_seed = calibration_seed;
-                bcfg.build_id = build_id;
-                bcfg.jobs = cfg.build_jobs;
-                bcfg.timing_cache =
-                    use_cache ? &timing_cache : nullptr;
-                core::Builder builder(spec, bcfg);
-
-                auto loadSet = [&]() -> Result<EngineSet> {
-                    auto it = budget.find(mc.model);
-                    if (it != budget.end() && it->second > 0) {
-                        it->second--;
-                        return errorStatus(
-                            ErrorCode::kUnavailable,
-                            "injected engine-load fault for '",
-                            mc.model, "'");
-                    }
-                    EngineSet out;
-                    for (int b : ladder) {
-                        out.engines.push_back(builder.build(
-                            nn::buildZooModel(mc.model, b)));
-                        out.batches.push_back(b);
-                    }
-                    return out;
-                };
-
-                bool loaded = false;
-                for (int a = 0; a < attempts && !loaded; a++) {
-                    auto r = loadSet();
-                    if (r.ok()) {
-                        set = std::move(r).value();
-                        loaded = true;
-                        if (a > 0) {
-                            rebuilds[static_cast<std::size_t>(m)]++;
-                            mm[static_cast<std::size_t>(m)]
-                                .rebuilds.add();
-                        }
-                    } else {
-                        load_failures[static_cast<std::size_t>(
-                            m)]++;
-                        mm[static_cast<std::size_t>(m)]
-                            .load_failures.add();
-                        warn("EdgeServe: engine load for '",
-                             mc.model, "' on ", spec.name,
-                             "[", d, "] failed (attempt ", a + 1,
-                             "/", attempts,
-                             "): ", r.status().message());
-                    }
-                }
-                for (const auto &eng : set.engines) {
-                    LatencyPredictor pred(
-                        cfg.devices[static_cast<std::size_t>(d)]);
-                    pred.calibrate(eng);
-                    svc_d.push_back(
-                        pred.predictServiceSeconds(eng));
-                }
-            }
             // An empty set marks (model, device) unavailable.
-            ver.sets.push_back(std::move(set));
-            ver.svc.push_back(std::move(svc_d));
+            EngineSet &set = ver.sets.emplace_back();
+            if (device_mask && !(*device_mask)[static_cast<std::size_t>(d)])
+                continue;
+            const auto &spec = cfg.devices[static_cast<std::size_t>(d)];
+            for (int a = 0; a < attempts; a++) {
+                auto it = budget.find(mc.model);
+                if (it != budget.end() && it->second > 0) {
+                    it->second--;
+                    stats[mi].load_failures++;
+                    mm[mi].load_failures.add();
+                    warn("EdgeServe: engine load for '", mc.model,
+                         "' on ", spec.name, "[", d,
+                         "] failed (attempt ", a + 1, "/", attempts,
+                         "): injected engine-load fault for '",
+                         mc.model, "'");
+                    continue;
+                }
+                set = buildEngineSet(spec, bcfg, mc.model, ladders[mi]);
+                if (a > 0) {
+                    stats[mi].rebuilds++;
+                    mm[mi].rebuilds.add();
+                }
+                break;
+            }
         }
         return ver;
     };
@@ -305,21 +203,12 @@ runServer(const ServeConfig &cfg)
         }
     }
 
-    // A model with engines on no device is degraded: all of its
-    // traffic is shed while the other models keep serving.
-    auto setAvailable = [&](int m, int d) {
-        const auto &mv = versions[static_cast<std::size_t>(m)];
-        return mv[static_cast<std::size_t>(
-                      active[static_cast<std::size_t>(m)])]
-            .availableOn(d);
-    };
-    std::vector<bool> degraded(static_cast<std::size_t>(n_models),
-                               false);
-
     // ------------------------------------------------------------
     // Placement: RAM-bounded instances per device, additionally
     // capped by the paper's Eq. 1 concurrency bound (estimated with
-    // the shared ThroughputOptions::probe() knob set).
+    // the shared ThroughputOptions::probe() knob set). A model with
+    // engines on no device is degraded: all of its traffic is shed
+    // while the other models keep serving.
     // ------------------------------------------------------------
     obs::MetricRegistry &reg = obs::MetricRegistry::global();
     InstancePool pool(cfg.devices, cfg.ram_fraction);
@@ -327,14 +216,13 @@ runServer(const ServeConfig &cfg)
         const auto &mc = cfg.models[static_cast<std::size_t>(m)];
         int placed_total = 0;
         for (int d = 0; d < n_devices; d++) {
-            if (!setAvailable(m, d))
+            const EngineVersion &ver =
+                versions[static_cast<std::size_t>(m)].front();
+            if (!ver.availableOn(d))
                 continue;
             const auto &spec =
                 cfg.devices[static_cast<std::size_t>(d)];
-            const auto &set =
-                versions[static_cast<std::size_t>(m)]
-                    .front()
-                    .sets[static_cast<std::size_t>(d)];
+            const auto &set = ver.sets[static_cast<std::size_t>(d)];
             int eq1 = runtime::estimateMaxThreads(
                 set.engines.front(), spec,
                 runtime::ThroughputOptions::probe());
@@ -352,7 +240,7 @@ runServer(const ServeConfig &cfg)
             // No engines anywhere (persistent load faults) or no
             // RAM budget fits the context: degrade this model —
             // shed its traffic — instead of failing the fleet.
-            degraded[static_cast<std::size_t>(m)] = true;
+            stats[static_cast<std::size_t>(m)].degraded = true;
             reg.gauge("serve.model.degraded",
                       {{"model", mc.model}})
                 .set(1.0);
@@ -363,10 +251,9 @@ runServer(const ServeConfig &cfg)
     }
 
     // Per-device simulators and per-instance streams.
-    std::vector<std::unique_ptr<gpusim::GpuSim>> sims;
-    for (int d = 0; d < n_devices; d++)
-        sims.push_back(std::make_unique<gpusim::GpuSim>(
-            cfg.devices[static_cast<std::size_t>(d)]));
+    DeviceSims sims;
+    for (const auto &spec : cfg.devices)
+        sims.push_back(std::make_unique<gpusim::GpuSim>(spec));
     {
         std::vector<int> streams_made(
             static_cast<std::size_t>(n_devices), 0);
@@ -386,32 +273,8 @@ runServer(const ServeConfig &cfg)
     // Workload: per-model arrival streams from forked Rng streams,
     // merged into one id-ordered request table.
     // ------------------------------------------------------------
-    std::vector<Request> requests;
-    {
-        Rng root(cfg.seed);
-        Rng workload_rng = root.fork("workload");
-        std::vector<std::pair<double, int>> merged;
-        for (int m = 0; m < n_models; m++) {
-            Rng rng = workload_rng.fork(
-                static_cast<std::uint64_t>(m));
-            for (double t : generateArrivals(
-                     cfg.models[static_cast<std::size_t>(m)]
-                         .arrivals,
-                     cfg.duration_s, rng))
-                merged.emplace_back(t, m);
-        }
-        std::sort(merged.begin(), merged.end());
-        requests.reserve(merged.size());
-        for (const auto &[t, m] : merged) {
-            Request r;
-            r.id = static_cast<std::int64_t>(requests.size());
-            r.model = m;
-            r.arrival_s = t;
-            r.slo_ms =
-                cfg.models[static_cast<std::size_t>(m)].slo_ms;
-            requests.push_back(r);
-        }
-    }
+    std::vector<Request> requests =
+        requestTable(cfg.models, cfg.duration_s, cfg.seed);
 
     // ------------------------------------------------------------
     // Phase 1 — control loop over (arrival, timeout, predicted-
@@ -427,17 +290,9 @@ runServer(const ServeConfig &cfg)
     std::vector<std::int64_t> timeout_armed(
         static_cast<std::size_t>(n_models), -1);
 
-    std::priority_queue<Event, std::vector<Event>, EventAfter> evq;
-    std::int64_t seq = 0;
-    for (const auto &r : requests) {
-        Event e;
-        e.t = r.arrival_s;
-        e.seq = seq++;
-        e.kind = Event::kArrival;
-        e.target = r.model;
-        e.req = r.id;
-        evq.push(e);
-    }
+    ControlQueue evq;
+    for (const auto &r : requests)
+        evq.push(r.arrival_s, kArrival, r.model, r.id);
 
     // ------------------------------------------------------------
     // Hot-swap bookkeeping: one state per SwapSpec, spec order.
@@ -459,14 +314,6 @@ runServer(const ServeConfig &cfg)
         double candidate_canary_ms = 0.0;
     };
     std::vector<SwapState> swap_states;
-    std::vector<std::int64_t> model_swaps(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> model_rollbacks(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<double> model_downtime_ms(
-        static_cast<std::size_t>(n_models), 0.0);
-    std::vector<std::string> rollback_reason(
-        static_cast<std::size_t>(n_models));
     // Swap windows per model, for the p99-during-swap split.
     std::vector<std::vector<std::pair<double, double>>> swap_windows(
         static_cast<std::size_t>(n_models));
@@ -485,12 +332,7 @@ runServer(const ServeConfig &cfg)
         SwapState st;
         st.model = m;
         swap_states.push_back(st);
-        Event e;
-        e.t = sp.t_s;
-        e.seq = seq++;
-        e.kind = Event::kSwapBegin;
-        e.target = static_cast<int>(s);
-        evq.push(e);
+        evq.push(sp.t_s, kSwapBegin, static_cast<int>(s));
     }
 
     // Dispatch pauses per model while a hot-swap candidate warms
@@ -498,7 +340,7 @@ runServer(const ServeConfig &cfg)
     std::vector<bool> swap_paused(static_cast<std::size_t>(n_models),
                                   false);
 
-    auto activeVersion = [&](int m) -> const ModelVersion & {
+    auto activeVersion = [&](int m) -> const EngineVersion & {
         return versions[static_cast<std::size_t>(m)]
                        [static_cast<std::size_t>(
                            active[static_cast<std::size_t>(m)])];
@@ -506,22 +348,16 @@ runServer(const ServeConfig &cfg)
 
     auto backendView = [&](int m) {
         BackendView view;
-        const ModelVersion &ver = activeVersion(m);
-        // The ladder is identical across devices; take the first
-        // available device's (a degraded model never gets here).
-        for (int d = 0; d < n_devices; d++)
-            if (ver.availableOn(d)) {
-                view.ladder =
-                    ver.sets[static_cast<std::size_t>(d)].batches;
-                break;
-            }
+        const EngineVersion &ver = activeVersion(m);
+        view.ladder = ladders[static_cast<std::size_t>(m)];
         for (int idx : pool.instancesOf(m)) {
             const Instance &inst =
                 pool.instances()[static_cast<std::size_t>(idx)];
             BackendView::InstanceView iv;
             iv.free_s = inst.predicted_free_s;
             iv.service_s =
-                ver.svc[static_cast<std::size_t>(inst.device)];
+                ver.sets[static_cast<std::size_t>(inst.device)]
+                    .service_s;
             view.instances.push_back(std::move(iv));
         }
         return view;
@@ -541,56 +377,50 @@ runServer(const ServeConfig &cfg)
                 q.size(), q.oldestArrivalSeconds(), t);
             if (cut == 0)
                 break;
-            Instance &inst =
-                pool.instances()[static_cast<std::size_t>(
-                    inst_idx)];
-            const ModelVersion &ver = activeVersion(m);
-            int eidx =
-                ver.sets[static_cast<std::size_t>(inst.device)]
-                    .indexFor(cut);
-            double svc_s =
-                ver.svc[static_cast<std::size_t>(inst.device)]
-                       [static_cast<std::size_t>(eidx)];
-            PlannedDispatch pd;
-            pd.t_s = t;
-            pd.engine_idx = eidx;
-            pd.version = active[static_cast<std::size_t>(m)];
-            pd.batch = cut;
-            pd.request_ids = q.cut(cut);
-            pd.predicted_service_s = svc_s;
+            const int device =
+                pool.instances()[static_cast<std::size_t>(inst_idx)]
+                    .device;
+            const PlannedDispatch &pd = planDispatch(
+                evq, pool.instances(), inst_idx,
+                activeVersion(m).sets[static_cast<std::size_t>(device)],
+                active[static_cast<std::size_t>(m)], t, q.cut(cut),
+                kPredFree);
             for (std::int64_t id : pd.request_ids) {
                 Request &r =
                     requests[static_cast<std::size_t>(id)];
                 r.dispatch_s = t;
                 r.batch = cut;
-                r.device = inst.device;
+                r.device = device;
                 r.instance = inst_idx;
                 r.version = pd.version;
             }
-            inst.plan.push_back(std::move(pd));
-            inst.predicted_free_s = t + svc_s;
-            Event e;
-            e.t = inst.predicted_free_s;
-            e.seq = seq++;
-            e.kind = Event::kPredFree;
-            e.target = inst_idx;
-            evq.push(e);
             mm[static_cast<std::size_t>(m)].batches.add();
             mm[static_cast<std::size_t>(m)].batch_size.record(cut);
         }
-        // Arm (or re-arm after a front change) the batch timeout.
-        if (!q.empty() &&
-            q.frontId() !=
-                timeout_armed[static_cast<std::size_t>(m)]) {
-            timeout_armed[static_cast<std::size_t>(m)] =
-                q.frontId();
-            Event e;
-            e.t = batcher.deadlineFor(q.oldestArrivalSeconds());
-            e.seq = seq++;
-            e.kind = Event::kTimeout;
-            e.target = m;
-            evq.push(e);
-        }
+        if (!q.empty())
+            evq.armTimeout(
+                timeout_armed[static_cast<std::size_t>(m)],
+                q.frontId(),
+                batcher.deadlineFor(q.oldestArrivalSeconds()),
+                kTimeout, m);
+    };
+
+    // Roll swap s back onto the incumbent: `why` is the
+    // machine-readable reason, `detail` explains it in the warning.
+    auto rollBack = [&](int s, const char *why, const auto &...detail) {
+        SwapState &st = swap_states[static_cast<std::size_t>(s)];
+        const auto mi = static_cast<std::size_t>(st.model);
+        const std::string &name = cfg.models[mi].model;
+        st.rolled_back = true;
+        st.reason = why;
+        stats[mi].swaps_rolled_back++;
+        stats[mi].swap_rollback_reason = why;
+        reg.counter("deploy.swap.rolled_back",
+                    {{"model", name}, {"reason", why}})
+            .add();
+        warn("EdgeServe: hot-swap of '", name, "' to build ",
+             cfg.swaps[static_cast<std::size_t>(s)].candidate_build_id,
+             " rolled back (", detail..., ")");
     };
 
     {
@@ -598,17 +428,16 @@ runServer(const ServeConfig &cfg)
                     {{"requests",
                       std::to_string(requests.size())}});
         while (!evq.empty()) {
-            Event e = evq.top();
-            evq.pop();
+            ControlEvent e = evq.pop();
             switch (e.kind) {
-              case Event::kArrival: {
+              case kArrival: {
                   Request &r =
                       requests[static_cast<std::size_t>(e.req)];
                   int m = r.model;
                   auto &q = queues[static_cast<std::size_t>(m)];
                   q.observeArrival(e.t);
                   mm[static_cast<std::size_t>(m)].offered.add();
-                  if (degraded[static_cast<std::size_t>(m)]) {
+                  if (stats[static_cast<std::size_t>(m)].degraded) {
                       // No backend exists for this model; shed
                       // instead of queueing forever.
                       r.outcome = Outcome::kShed;
@@ -635,17 +464,17 @@ runServer(const ServeConfig &cfg)
                   tryDispatch(m, e.t);
                   break;
               }
-              case Event::kTimeout:
+              case kTimeout:
                   tryDispatch(e.target, e.t);
                   break;
-              case Event::kPredFree:
+              case kPredFree:
                   tryDispatch(
                       pool.instances()[static_cast<std::size_t>(
                                            e.target)]
                           .model,
                       e.t);
                   break;
-              case Event::kSwapBegin: {
+              case kSwapBegin: {
                   const SwapSpec &sp =
                       cfg.swaps[static_cast<std::size_t>(e.target)];
                   SwapState &st =
@@ -662,26 +491,15 @@ runServer(const ServeConfig &cfg)
                   reg.counter("deploy.swap.attempted",
                               {{"model", name}})
                       .add();
-                  model_swaps[mi]++;
-                  auto rollBack = [&](const char *why) {
-                      st.rolled_back = true;
-                      st.reason = why;
-                      model_rollbacks[mi]++;
-                      rollback_reason[mi] = why;
-                      reg.counter("deploy.swap.rolled_back",
-                                  {{"model", name},
-                                   {"reason", why}})
-                          .add();
-                      warn("EdgeServe: hot-swap of '", name,
-                           "' to build ", sp.candidate_build_id,
-                           " rolled back (", why, ")");
-                  };
-                  if (degraded[mi]) {
-                      rollBack("model_degraded");
+                  stats[mi].swaps++;
+                  if (stats[mi].degraded) {
+                      rollBack(e.target, "model_degraded",
+                               "model_degraded");
                       break;
                   }
                   if (swap_paused[mi]) {
-                      rollBack("overlapping_swap");
+                      rollBack(e.target, "overlapping_swap",
+                               "overlapping_swap");
                       break;
                   }
 
@@ -700,7 +518,7 @@ runServer(const ServeConfig &cfg)
                   // builds the candidate ladder at its own precision
                   // — the drift gate upstream already judged it
                   // against the incumbent's lineage.
-                  ModelVersion cand = buildVersion(
+                  EngineVersion cand = buildVersion(
                       m, sp.candidate_build_id,
                       sp.precision.value_or(
                           cfg.models[mi].precision),
@@ -712,7 +530,8 @@ runServer(const ServeConfig &cfg)
                           !cand.availableOn(d))
                           usable = false;
                   if (!usable) {
-                      rollBack("load_failure");
+                      rollBack(e.target, "load_failure",
+                               "load_failure");
                       break;
                   }
 
@@ -759,24 +578,19 @@ runServer(const ServeConfig &cfg)
                   st.begin_s = e.t;
                   st.ready_s = e.t + warmup_s;
                   swap_paused[mi] = true;
-                  model_downtime_ms[mi] += warmup_s * 1e3;
+                  stats[mi].swap_downtime_ms += warmup_s * 1e3;
                   reg.histogram("deploy.swap.downtime_ms",
                                 {{"model", name}})
                       .record(warmup_s * 1e3);
                   swap_windows[mi].emplace_back(e.t,
                                                 st.ready_s + 0.25);
-                  Event r;
-                  r.t = st.ready_s;
-                  r.seq = seq++;
-                  r.kind = Event::kSwapReady;
-                  r.target = e.target;
-                  evq.push(r);
+                  evq.push(st.ready_s, kSwapReady, e.target);
                   break;
               }
-              case Event::kSwapReady: {
+              case kSwapReady: {
                   const SwapSpec &sp =
                       cfg.swaps[static_cast<std::size_t>(e.target)];
-                  SwapState &st =
+                  const SwapState &st =
                       swap_states[static_cast<std::size_t>(
                           e.target)];
                   const int m = st.model;
@@ -786,19 +600,10 @@ runServer(const ServeConfig &cfg)
                       st.incumbent_canary_ms *
                       (1.0 + sp.rollback_regression_pct / 100.0);
                   if (st.candidate_canary_ms > limit) {
-                      st.rolled_back = true;
-                      st.reason = "latency_regression";
-                      model_rollbacks[mi]++;
-                      rollback_reason[mi] = st.reason;
-                      reg.counter("deploy.swap.rolled_back",
-                                  {{"model", name},
-                                   {"reason", st.reason}})
-                          .add();
-                      warn("EdgeServe: hot-swap of '", name,
-                           "' to build ", sp.candidate_build_id,
-                           " rolled back (canary ",
-                           st.candidate_canary_ms, " ms vs incumbent ",
-                           st.incumbent_canary_ms, " ms)");
+                      rollBack(e.target, "latency_regression", "canary ",
+                               st.candidate_canary_ms,
+                               " ms vs incumbent ",
+                               st.incumbent_canary_ms, " ms");
                   } else {
                       active[mi] = st.to_version;
                       reg.counter("deploy.swap.committed",
@@ -819,115 +624,50 @@ runServer(const ServeConfig &cfg)
 
     // ------------------------------------------------------------
     // Phase 2 — execution replay: every dispatch released at its
-    // planned time via delayUntil(), one run() per device. Measured
+    // planned time via delayUntil(), one run() per device (serially
+    // or on a worker pool, byte-identical either way). Measured
     // completions, not predictions, feed all reported statistics.
-    // Devices share nothing once their plans are enqueued, so with
-    // sim_threads > 1 the runs execute on a worker pool; histogram
-    // records defer into each simulator and commit in device index
-    // order, keeping every observable byte-identical to serial.
     // ------------------------------------------------------------
-    std::vector<double> replay_wall_s(
-        static_cast<std::size_t>(n_devices), 0.0);
-    {
-        // Context cache: [instance][(version, engine_idx)]. An
-        // instance keeps its old version's contexts alive through
-        // a swap — batches planned on the incumbent drain on its
-        // contexts while new batches run on the candidate's.
-        std::vector<std::map<std::pair<int, int>,
-                             std::unique_ptr<
-                                 runtime::ExecutionContext>>>
-            ctxs(pool.instances().size());
-        for (std::size_t i = 0; i < pool.instances().size(); i++) {
-            Instance &inst = pool.instances()[i];
-            auto &sim =
-                *sims[static_cast<std::size_t>(inst.device)];
-            for (auto &pd : inst.plan) {
-                sim.delayUntil(inst.stream, pd.t_s);
-                auto &ctx =
-                    ctxs[i][{pd.version, pd.engine_idx}];
-                if (!ctx)
-                    ctx = std::make_unique<
-                        runtime::ExecutionContext>(
-                        versions
-                            [static_cast<std::size_t>(inst.model)]
-                            [static_cast<std::size_t>(pd.version)]
-                                .sets[static_cast<std::size_t>(
-                                    inst.device)]
-                                .engines[static_cast<std::size_t>(
-                                    pd.engine_idx)],
-                        sim, inst.stream);
-                // Staged: record upload/compute boundary events so
-                // EdgeWatch can attribute per-request latency. The
-                // markers are timing-neutral, and serving always
-                // stages so the replay's event stream (and report
-                // bytes) never depend on whether watch is enabled.
-                auto h = ctx->enqueueInference(true, true,
-                                               /*staged=*/true);
-                pd.begin = h.begin;
-                pd.upload_done = h.upload_done;
-                pd.compute_done = h.compute_done;
-                pd.end = h.end;
-            }
+    for (Instance &inst : pool.instances())
+        // Staged: record upload/compute boundary events so EdgeWatch
+        // can attribute per-request latency. The markers are
+        // timing-neutral, and serving always stages so the replay's
+        // event stream (and report bytes) never depend on whether
+        // watch is enabled.
+        enqueuePlan(*sims[static_cast<std::size_t>(inst.device)], inst,
+                    versions[static_cast<std::size_t>(inst.model)],
+                    inst.device, inst.stream, inst.stream,
+                    [](runtime::ExecutionContext &ctx) {
+                        return ctx.enqueueInference(true, true,
+                                                    /*staged=*/true);
+                    });
+    std::vector<double> replay_wall_s;
+    std::optional<PoolStats> ps =
+        runDevices(sims, cfg.devices, cfg.sim_threads, cfg.trace_mode,
+                   cfg.trace_sample_every, "serve_replay",
+                   &replay_wall_s);
+    if (cfg.sim_metrics) {
+        if (ps) {
+            const obs::Labels pl = {{"scope", "serve_replay"}};
+            reg.gauge("serve.pool.workers", pl)
+                .set(static_cast<double>(ps->per_worker_tasks.size()));
+            reg.gauge("serve.pool.tasks_run", pl)
+                .set(static_cast<double>(ps->tasks_run));
+            reg.gauge("serve.pool.max_queue_depth", pl)
+                .set(static_cast<double>(ps->max_queue_depth));
+            reg.gauge("serve.pool.wait_seconds", pl)
+                .set(static_cast<double>(ps->wait_ns) * 1e-9);
+            reg.gauge("serve.pool.utilization_pct", pl)
+                .set(ps->utilizationPct());
         }
-        for (auto &sim : sims)
-            sim->setTraceMode(cfg.trace_mode,
-                              cfg.trace_sample_every);
-        auto runDevice = [&](std::size_t d) {
-            std::uint64_t t0 = obs::clock().nowNanos();
-            sims[d]->run();
-            replay_wall_s[d] =
-                static_cast<double>(obs::clock().nowNanos() - t0) *
-                1e-9;
-        };
-        const int threads =
-            std::min(std::max(1, cfg.sim_threads), n_devices);
-        if (threads <= 1) {
-            for (int d = 0; d < n_devices; d++) {
-                EDGERT_SPAN(
-                    "serve_replay",
-                    {{"device",
-                      cfg.devices[static_cast<std::size_t>(d)]
-                          .name},
-                     {"index", std::to_string(d)}});
-                runDevice(static_cast<std::size_t>(d));
-            }
-        } else {
-            EDGERT_SPAN("serve_replay",
-                        {{"devices", std::to_string(n_devices)},
-                         {"threads", std::to_string(threads)}});
-            for (auto &sim : sims)
-                sim->setDeferMetrics(true);
-            ThreadPool tp(threads);
-            tp.parallelFor(static_cast<std::size_t>(n_devices),
-                           runDevice);
-            for (auto &sim : sims) {
-                sim->commitMetrics();
-                sim->setDeferMetrics(false);
-            }
-            if (cfg.sim_metrics) {
-                PoolStats ps = tp.stats();
-                const obs::Labels pl = {{"scope", "serve_replay"}};
-                reg.gauge("serve.pool.workers", pl)
-                    .set(static_cast<double>(tp.size()));
-                reg.gauge("serve.pool.tasks_run", pl)
-                    .set(static_cast<double>(ps.tasks_run));
-                reg.gauge("serve.pool.max_queue_depth", pl)
-                    .set(static_cast<double>(ps.max_queue_depth));
-                reg.gauge("serve.pool.wait_seconds", pl)
-                    .set(static_cast<double>(ps.wait_ns) * 1e-9);
-                reg.gauge("serve.pool.utilization_pct", pl)
-                    .set(ps.utilizationPct());
-            }
+        for (int d = 0; d < n_devices; d++) {
+            auto di = static_cast<std::size_t>(d);
+            gpusim::publishSimMetrics(
+                *sims[di],
+                {{"device", cfg.devices[di].name},
+                 {"index", std::to_string(d)}},
+                replay_wall_s[di]);
         }
-        if (cfg.sim_metrics)
-            for (int d = 0; d < n_devices; d++) {
-                auto di = static_cast<std::size_t>(d);
-                gpusim::publishSimMetrics(
-                    *sims[di],
-                    {{"device", cfg.devices[di].name},
-                     {"index", std::to_string(d)}},
-                    replay_wall_s[di]);
-            }
     }
 
     // Fold measured completions back into the request table and the
@@ -937,6 +677,7 @@ runServer(const ServeConfig &cfg)
     std::vector<double> stage_begin(requests.size(), 0.0);
     std::vector<double> stage_upload(requests.size(), 0.0);
     std::vector<double> stage_compute(requests.size(), 0.0);
+    std::vector<double> err_sum(static_cast<std::size_t>(n_models), 0.0);
     for (const Instance &inst : pool.instances()) {
         const auto &sim =
             *sims[static_cast<std::size_t>(inst.device)];
@@ -951,6 +692,7 @@ runServer(const ServeConfig &cfg)
                 actual_s * 100.0;
             mm[static_cast<std::size_t>(inst.model)]
                 .predictor_err.record(err_pct);
+            err_sum[static_cast<std::size_t>(inst.model)] += err_pct;
             for (std::int64_t id : pd.request_ids) {
                 Request &r =
                     requests[static_cast<std::size_t>(id)];
@@ -975,68 +717,70 @@ runServer(const ServeConfig &cfg)
     report.admission_control = cfg.admission_control;
     report.dynamic_batching = cfg.dynamic_batching;
 
-    std::vector<std::vector<double>> lat(
-        static_cast<std::size_t>(n_models));
-    std::vector<std::int64_t> within_slo(
-        static_cast<std::size_t>(n_models), 0);
+    // One pass over the request table: latencies per model, per
+    // engine version and inside vs outside the swap windows.
+    const auto nm = static_cast<std::size_t>(n_models);
+    std::vector<std::vector<double>> lat(nm), lat_swap(nm), lat_steady(nm);
+    std::vector<std::vector<std::vector<double>>> vlat(nm);
+    std::vector<std::int64_t> offered(nm, 0), shed(nm, 0), within_slo(nm, 0);
+    for (std::size_t m = 0; m < nm; m++)
+        vlat[m].resize(versions[m].size());
     for (const Request &r : requests) {
+        auto m = static_cast<std::size_t>(r.model);
+        offered[m]++;
+        if (r.outcome == Outcome::kShed)
+            shed[m]++;
         if (r.outcome != Outcome::kCompleted)
             continue;
-        auto m = static_cast<std::size_t>(r.model);
-        lat[m].push_back(r.latencyMs());
-        mm[m].latency_ms.record(r.latencyMs());
+        double ms = r.latencyMs();
+        lat[m].push_back(ms);
+        vlat[m][static_cast<std::size_t>(r.version)].push_back(ms);
+        mm[m].latency_ms.record(ms);
         mm[m].completed.add();
         if (r.sloMet())
             within_slo[m]++;
         else
             mm[m].violations.add();
+        if (swap_windows[m].empty())
+            continue;
+        bool in = false;
+        for (const auto &[a, b] : swap_windows[m])
+            in = in || (r.arrival_s >= a && r.arrival_s <= b);
+        (in ? lat_swap : lat_steady)[m].push_back(ms);
     }
 
     for (int m = 0; m < n_models; m++) {
         auto mi = static_cast<std::size_t>(m);
         const auto &mc = cfg.models[mi];
-        ModelStats s;
+        const auto &mv = versions[mi];
+        ModelStats &s = stats[mi];
         s.model = mc.model;
         s.slo_ms = mc.slo_ms;
         s.instances = static_cast<int>(pool.instancesOf(m).size());
-        s.load_failures = load_failures[mi];
-        s.rebuilds = rebuilds[mi];
-        s.degraded = degraded[mi];
+        s.versions.resize(mv.size());
         std::int64_t dispatched = 0;
-        std::int64_t batches = 0;
-        for (int idx : pool.instancesOf(m)) {
+        for (int idx : pool.instancesOf(m))
             for (const auto &pd :
-                 pool.instances()[static_cast<std::size_t>(idx)]
-                     .plan) {
+                 pool.instances()[static_cast<std::size_t>(idx)].plan) {
                 dispatched += pd.batch;
-                batches++;
+                s.batches++;
+                s.versions[static_cast<std::size_t>(pd.version)]
+                    .batches++;
             }
-        }
-        for (const Request &r : requests) {
-            if (r.model != m)
-                continue;
-            s.offered++;
-            if (r.outcome == Outcome::kShed)
-                s.shed++;
-        }
+        s.offered = offered[mi];
+        s.shed = shed[mi];
         s.completed = static_cast<std::int64_t>(lat[mi].size());
         s.slo_violations = s.completed - within_slo[mi];
-        s.batches = batches;
         s.active_build_id =
-            versions[mi][static_cast<std::size_t>(active[mi])]
-                .build_id;
-        s.swaps = model_swaps[mi];
-        s.swaps_rolled_back = model_rollbacks[mi];
-        s.swap_downtime_ms = model_downtime_ms[mi];
-        s.swap_rollback_reason = rollback_reason[mi];
+            mv[static_cast<std::size_t>(active[mi])].build_id;
         s.offered_qps =
             static_cast<double>(s.offered) / cfg.duration_s;
         s.goodput_qps = static_cast<double>(within_slo[mi]) /
                         cfg.duration_s;
-        s.mean_batch =
-            batches > 0 ? static_cast<double>(dispatched) /
-                              static_cast<double>(batches)
-                        : 0.0;
+        s.mean_batch = s.batches > 0
+                           ? static_cast<double>(dispatched) /
+                                 static_cast<double>(s.batches)
+                           : 0.0;
         if (!lat[mi].empty()) {
             s.mean_ms = mean(lat[mi]);
             s.p50_ms = percentile(lat[mi], 50.0);
@@ -1046,122 +790,42 @@ runServer(const ServeConfig &cfg)
                 *std::max_element(lat[mi].begin(), lat[mi].end());
         }
         // Mean absolute predictor error over this model's batches.
-        {
-            double sum = 0.0;
-            std::int64_t n = 0;
-            for (int idx : pool.instancesOf(m)) {
-                const Instance &inst =
-                    pool.instances()[static_cast<std::size_t>(
-                        idx)];
-                const auto &sim = *sims[static_cast<std::size_t>(
-                    inst.device)];
-                for (const auto &pd : inst.plan) {
-                    double actual =
-                        std::max(sim.eventSeconds(pd.end) -
-                                     sim.eventSeconds(pd.begin),
-                                 1e-12);
-                    sum += std::fabs(pd.predicted_service_s -
-                                     actual) /
-                           actual * 100.0;
-                    n++;
-                }
-            }
-            s.predictor_mae_pct =
-                n > 0 ? sum / static_cast<double>(n) : 0.0;
-        }
+        s.predictor_mae_pct =
+            s.batches > 0 ? err_sum[mi] / static_cast<double>(s.batches)
+                          : 0.0;
         // Per engine-version breakdown (hot-swap lineage).
-        {
-            const auto &mv = versions[mi];
-            std::vector<VersionStats> vs(mv.size());
-            std::vector<std::vector<double>> vlat(mv.size());
-            for (std::size_t v = 0; v < mv.size(); v++) {
-                vs[v].build_id = mv[v].build_id;
-                for (int d = 0; d < n_devices; d++)
-                    if (mv[v].availableOn(d)) {
-                        vs[v].fingerprint =
-                            mv[v].sets[static_cast<std::size_t>(d)]
-                                .engines.front()
-                                .fingerprint();
-                        break;
-                    }
-            }
-            for (int idx : pool.instancesOf(m))
-                for (const auto &pd :
-                     pool.instances()[static_cast<std::size_t>(
-                                          idx)]
-                         .plan)
-                    vs[static_cast<std::size_t>(pd.version)]
-                        .batches++;
-            for (const Request &r : requests) {
-                if (r.model != m ||
-                    r.outcome != Outcome::kCompleted)
-                    continue;
-                auto v = static_cast<std::size_t>(r.version);
-                vs[v].completed++;
-                vlat[v].push_back(r.latencyMs());
-            }
-            for (std::size_t v = 0; v < mv.size(); v++)
-                if (!vlat[v].empty()) {
-                    vs[v].mean_ms = mean(vlat[v]);
-                    vs[v].p99_ms = percentile(vlat[v], 99.0);
+        for (std::size_t v = 0; v < mv.size(); v++) {
+            VersionStats &vs = s.versions[v];
+            vs.build_id = mv[v].build_id;
+            for (const EngineSet &set : mv[v].sets)
+                if (!set.engines.empty()) {
+                    vs.fingerprint = set.engines.front().fingerprint();
+                    break;
                 }
-            s.versions = std::move(vs);
+            const auto &vl = vlat[mi][v];
+            vs.completed = static_cast<std::int64_t>(vl.size());
+            if (!vl.empty()) {
+                vs.mean_ms = mean(vl);
+                vs.p99_ms = percentile(vl, 99.0);
+            }
         }
         // p99 of requests arriving inside vs outside swap windows.
-        if (!swap_windows[mi].empty()) {
-            std::vector<double> in_win, out_win;
-            for (const Request &r : requests) {
-                if (r.model != m ||
-                    r.outcome != Outcome::kCompleted)
-                    continue;
-                bool in = false;
-                for (const auto &[a, b] : swap_windows[mi])
-                    if (r.arrival_s >= a && r.arrival_s <= b) {
-                        in = true;
-                        break;
-                    }
-                (in ? in_win : out_win).push_back(r.latencyMs());
-            }
-            if (!in_win.empty())
-                s.p99_swap_ms = percentile(in_win, 99.0);
-            if (!out_win.empty())
-                s.p99_steady_ms = percentile(out_win, 99.0);
-        } else {
+        if (swap_windows[mi].empty())
             s.p99_steady_ms = s.p99_ms;
-        }
-        report.models.push_back(std::move(s));
+        if (!lat_swap[mi].empty())
+            s.p99_swap_ms = percentile(lat_swap[mi], 99.0);
+        if (!lat_steady[mi].empty())
+            s.p99_steady_ms = percentile(lat_steady[mi], 99.0);
     }
+    report.models = std::move(stats);
 
-    for (int d = 0; d < n_devices; d++) {
-        auto di = static_cast<std::size_t>(d);
-        const auto &spec = cfg.devices[di];
-        DeviceStats s;
-        s.device = spec.name;
-        for (const auto &inst : pool.instances())
-            if (inst.device == d)
-                s.instances++;
-        auto st = sims[di]->stats();
-        s.sm_util_pct = st.smUtilizationPct(spec.sm_count);
-        s.copy_busy_pct =
-            st.window_s > 0.0
-                ? 100.0 * st.copy_busy_s / st.window_s
-                : 0.0;
-        s.makespan_s = sims[di]->nowSeconds();
-        s.ram_used_bytes = pool.ramUsedBytes(d);
-        s.ram_budget_bytes = pool.ramBudgetBytes(d);
-
-        const obs::Labels labels = {{"device", spec.name},
-                                    {"index", std::to_string(d)}};
-        reg.gauge("serve.device.sm_util_pct", labels)
-            .set(s.sm_util_pct);
-        reg.gauge("serve.device.copy_busy_pct", labels)
-            .set(s.copy_busy_pct);
-        reg.gauge("serve.device.instances", labels)
-            .set(static_cast<double>(s.instances));
-        reg.gauge("serve.device.ram_used_bytes", labels)
-            .set(static_cast<double>(s.ram_used_bytes));
-        report.devices.push_back(std::move(s));
-    }
+    report.devices = deviceReport(sims, cfg.devices, pool, "serve");
+    for (int d = 0; d < n_devices; d++)
+        reg.gauge("serve.device.ram_used_bytes",
+                  {{"device", cfg.devices[static_cast<std::size_t>(d)]
+                                  .name},
+                   {"index", std::to_string(d)}})
+            .set(static_cast<double>(pool.ramUsedBytes(d)));
 
     // ------------------------------------------------------------
     // EdgeWatch: replay the run's admissions, sheds, dispatches,
@@ -1203,148 +867,96 @@ runServer(const ServeConfig &cfg)
         watch::EdgeWatch ew(cfg.watch, model_names, slo_ms,
                             dev_names, dev_scores);
 
+        // The feed holds (time, tie-break rank, kind) keys into the
+        // request, plan and swap tables; equal (t, rank) keep their
+        // insertion order.
+        enum What { kAdmit, kShed, kSwapBegin, kDispatch, kSwapEnd,
+                    kComplete };
         struct FeedItem
         {
-            enum What {
-                kAdmit,
-                kShed,
-                kSwapBegin,
-                kDispatch,
-                kSwapCommit,
-                kSwapRollback,
-                kComplete,
-            };
-            double t = 0.0;
-            int rank = 0; //!< tie-break at equal t (What order)
-            What what = kAdmit;
-            int model = -1;
-            std::int64_t id = -1;
-            int batch = 0;
-            int device = -1;
-            std::uint64_t build_id = 0;
-            std::string reason;
-            watch::RequestTrace rt;
+            double t;
+            int rank;
+            What what;
+            std::size_t i; //!< request, instance or swap index
+            std::size_t k; //!< plan index (kDispatch)
         };
-        std::size_t feed_cap = requests.size() * 2;
-        for (const Instance &inst : pool.instances())
-            feed_cap += inst.plan.size();
-        feed_cap += swap_states.size() * 2;
         std::vector<FeedItem> feed;
-        feed.reserve(feed_cap);
         for (const Request &r : requests) {
-            FeedItem it;
-            it.t = r.arrival_s;
-            it.what = r.outcome == Outcome::kShed
-                          ? FeedItem::kShed
-                          : FeedItem::kAdmit;
-            it.rank = 0;
-            it.model = r.model;
-            it.id = r.id;
-            feed.push_back(std::move(it));
-            if (r.outcome != Outcome::kCompleted)
-                continue;
-            FeedItem c;
-            c.t = r.done_s;
-            c.rank = 4;
-            c.what = FeedItem::kComplete;
-            c.model = r.model;
-            c.id = r.id;
-            c.rt.id = r.id;
-            c.rt.model = r.model;
-            c.rt.device = r.device;
-            c.rt.instance = r.instance;
-            c.rt.batch = r.batch;
-            c.rt.version = r.version;
-            c.rt.arrival_s = r.arrival_s;
-            c.rt.dispatch_s = r.dispatch_s;
-            c.rt.begin_s =
-                stage_begin[static_cast<std::size_t>(r.id)];
-            c.rt.upload_done_s =
-                stage_upload[static_cast<std::size_t>(r.id)];
-            c.rt.compute_done_s =
-                stage_compute[static_cast<std::size_t>(r.id)];
-            c.rt.done_s = r.done_s;
-            feed.push_back(std::move(c));
+            auto id = static_cast<std::size_t>(r.id);
+            feed.push_back({r.arrival_s, 0,
+                            r.outcome == Outcome::kShed ? kShed : kAdmit,
+                            id, 0});
+            if (r.outcome == Outcome::kCompleted)
+                feed.push_back({r.done_s, 4, kComplete, id, 0});
         }
-        for (const Instance &inst : pool.instances()) {
-            for (const auto &pd : inst.plan) {
-                FeedItem it;
-                it.t = pd.t_s;
-                it.rank = 2;
-                it.what = FeedItem::kDispatch;
-                it.model = inst.model;
-                it.batch = pd.batch;
-                it.device = inst.device;
-                it.id = pd.request_ids.empty()
-                            ? -1
-                            : pd.request_ids.front();
-                feed.push_back(std::move(it));
-            }
-        }
+        for (std::size_t i = 0; i < pool.instances().size(); i++)
+            for (std::size_t k = 0; k < pool.instances()[i].plan.size();
+                 k++)
+                feed.push_back({pool.instances()[i].plan[k].t_s, 2,
+                                kDispatch, i, k});
         for (std::size_t s = 0; s < swap_states.size(); s++) {
             const SwapState &st = swap_states[s];
-            const SwapSpec &sp = cfg.swaps[s];
             const bool warmed = st.to_version >= 0;
-            FeedItem b;
-            b.t = warmed ? st.begin_s : sp.t_s;
-            b.rank = 1;
-            b.what = FeedItem::kSwapBegin;
-            b.model = st.model;
-            b.build_id = sp.candidate_build_id;
-            feed.push_back(std::move(b));
-            FeedItem e;
-            e.t = warmed ? st.ready_s : sp.t_s;
-            e.rank = 3;
-            e.model = st.model;
-            if (st.rolled_back) {
-                e.what = FeedItem::kSwapRollback;
-                e.reason = st.reason;
-            } else {
-                e.what = FeedItem::kSwapCommit;
-                e.build_id = sp.candidate_build_id;
-            }
-            feed.push_back(std::move(e));
+            feed.push_back({warmed ? st.begin_s : cfg.swaps[s].t_s, 1,
+                            kSwapBegin, s, 0});
+            feed.push_back({warmed ? st.ready_s : cfg.swaps[s].t_s, 3,
+                            kSwapEnd, s, 0});
         }
-        // Sort indices, not the (large) items: stable_sort moves
-        // its elements O(n log n) times and the feed dominates the
-        // watch path's wall time for busy scenarios.
-        std::vector<std::uint32_t> order(feed.size());
-        for (std::uint32_t i = 0; i < order.size(); i++)
-            order[i] = i;
-        std::stable_sort(
-            order.begin(), order.end(),
-            [&feed](std::uint32_t ia, std::uint32_t ib) {
-                const FeedItem &a = feed[ia];
-                const FeedItem &b = feed[ib];
-                if (a.t != b.t)
-                    return a.t < b.t;
-                return a.rank < b.rank;
-            });
-        for (std::uint32_t idx : order) {
-            const FeedItem &it = feed[idx];
+        std::stable_sort(feed.begin(), feed.end(),
+                         [](const FeedItem &a, const FeedItem &b) {
+                             if (a.t != b.t)
+                                 return a.t < b.t;
+                             return a.rank < b.rank;
+                         });
+        for (const FeedItem &it : feed) {
+            const auto id = static_cast<std::int64_t>(it.i);
             switch (it.what) {
-              case FeedItem::kAdmit:
-                  ew.onAdmit(it.t, it.model, it.id);
+              case kAdmit:
+                  ew.onAdmit(it.t, requests[it.i].model, id);
                   break;
-              case FeedItem::kShed:
-                  ew.onShed(it.t, it.model, it.id);
+              case kShed:
+                  ew.onShed(it.t, requests[it.i].model, id);
                   break;
-              case FeedItem::kDispatch:
-                  ew.onDispatch(it.t, it.model, it.batch,
-                                it.device, it.id);
+              case kDispatch: {
+                  const Instance &inst = pool.instances()[it.i];
+                  const PlannedDispatch &pd = inst.plan[it.k];
+                  ew.onDispatch(it.t, inst.model, pd.batch, inst.device,
+                                pd.request_ids.empty()
+                                    ? -1
+                                    : pd.request_ids.front());
                   break;
-              case FeedItem::kSwapBegin:
-                  ew.onSwapBegin(it.t, it.model, it.build_id);
+              }
+              case kSwapBegin:
+                  ew.onSwapBegin(it.t, swap_states[it.i].model,
+                                 cfg.swaps[it.i].candidate_build_id);
                   break;
-              case FeedItem::kSwapCommit:
-                  ew.onSwapCommit(it.t, it.model, it.build_id);
+              case kSwapEnd: {
+                  const SwapState &st = swap_states[it.i];
+                  if (st.rolled_back)
+                      ew.onSwapRollback(it.t, st.model, st.reason);
+                  else
+                      ew.onSwapCommit(it.t, st.model,
+                                      cfg.swaps[it.i].candidate_build_id);
                   break;
-              case FeedItem::kSwapRollback:
-                  ew.onSwapRollback(it.t, it.model, it.reason);
+              }
+              case kComplete: {
+                  const Request &r = requests[it.i];
+                  watch::RequestTrace rt;
+                  rt.id = r.id;
+                  rt.model = r.model;
+                  rt.device = r.device;
+                  rt.instance = r.instance;
+                  rt.batch = r.batch;
+                  rt.version = r.version;
+                  rt.arrival_s = r.arrival_s;
+                  rt.dispatch_s = r.dispatch_s;
+                  rt.begin_s = stage_begin[it.i];
+                  rt.upload_done_s = stage_upload[it.i];
+                  rt.compute_done_s = stage_compute[it.i];
+                  rt.done_s = r.done_s;
+                  ew.onComplete(rt);
                   break;
-              case FeedItem::kComplete:
-                  ew.onComplete(it.rt);
-                  break;
+              }
             }
         }
         ew.finish(cfg.duration_s);
@@ -1380,23 +992,9 @@ runServer(const ServeConfig &cfg)
         }
     }
 
-    if (!cfg.trace_out.empty()) {
-        std::vector<profile::NamedTrace> device_traces;
-        for (int d = 0; d < n_devices; d++) {
-            const auto &sim = *sims[static_cast<std::size_t>(d)];
-            profile::NamedTrace nt;
-            nt.name =
-                cfg.devices[static_cast<std::size_t>(d)].name +
-                "[" + std::to_string(d) + "]";
-            nt.trace = &sim.trace();
-            if (sim.traceMode() == gpusim::TraceMode::kSampled)
-                nt.sample_every = sim.traceSampleEvery();
-            device_traces.push_back(std::move(nt));
-        }
-        profile::saveMergedChromeTrace(
-            cfg.trace_out, obs::Tracer::global().spans(),
-            device_traces, watch_spans, "watch: slow requests");
-    }
+    if (!cfg.trace_out.empty())
+        saveDeviceTraces(cfg.trace_out, sims, cfg.devices, watch_spans,
+                         "watch: slow requests");
 
     return report;
 }
@@ -1477,27 +1075,7 @@ ServeReport::toJson() const
            << "\n";
     }
     os << "  ],\n";
-    os << "  \"devices\": [\n";
-    for (std::size_t i = 0; i < devices.size(); i++) {
-        const DeviceStats &s = devices[i];
-        os << "    {\n";
-        os << "      \"device\": \"" << jsonEscape(s.device)
-           << "\",\n";
-        os << "      \"instances\": " << s.instances << ",\n";
-        os << "      \"sm_util_pct\": "
-           << jsonNumber(s.sm_util_pct) << ",\n";
-        os << "      \"copy_busy_pct\": "
-           << jsonNumber(s.copy_busy_pct) << ",\n";
-        os << "      \"makespan_s\": " << jsonNumber(s.makespan_s)
-           << ",\n";
-        os << "      \"ram_used_bytes\": " << s.ram_used_bytes
-           << ",\n";
-        os << "      \"ram_budget_bytes\": " << s.ram_budget_bytes
-           << "\n";
-        os << "    }" << (i + 1 < devices.size() ? "," : "")
-           << "\n";
-    }
-    os << "  ]";
+    writeDevicesJson(os, devices);
     // Trailing key so watch-off reports keep their pre-watch bytes.
     if (watch.enabled) {
         os << ",\n  \"watch\": {\n";

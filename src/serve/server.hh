@@ -37,6 +37,7 @@
 #include "nn/executor.hh"
 #include "serve/queue.hh"
 #include "serve/request.hh"
+#include "serve/serving.hh"
 #include "serve/workload.hh"
 #include "watch/watch.hh"
 
@@ -256,18 +257,6 @@ struct ModelStats
     /** Per engine-version breakdown, load order (index 0 is the
      *  engine the run started with). */
     std::vector<VersionStats> versions;
-};
-
-/** Per-device serving outcome. */
-struct DeviceStats
-{
-    std::string device;
-    int instances = 0;
-    double sm_util_pct = 0.0;   //!< tegrastats GR3D analogue
-    double copy_busy_pct = 0.0;
-    double makespan_s = 0.0;    //!< drain time of the replay
-    std::int64_t ram_used_bytes = 0;
-    std::int64_t ram_budget_bytes = 0;
 };
 
 /** Full report of one EdgeServe run. */

@@ -1,0 +1,258 @@
+#include "serve/serving.hh"
+
+#include <map>
+
+#include "common/json.hh"
+#include "nn/model_zoo.hh"
+#include "obs/clock.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
+#include "serve/predictor.hh"
+
+namespace edgert::serve {
+
+obs::Counter
+modelCounter(const std::string &name, const std::string &model)
+{
+    return obs::MetricRegistry::global().counter(name,
+                                                 {{"model", model}});
+}
+
+obs::Histogram
+modelHistogram(const std::string &name, const std::string &model)
+{
+    return obs::MetricRegistry::global().histogram(name,
+                                                   {{"model", model}});
+}
+
+void
+ControlQueue::push(double t, int kind, int target, std::int64_t req)
+{
+    ControlEvent e;
+    e.t = t;
+    e.seq = seq_++;
+    e.kind = kind;
+    e.target = target;
+    e.req = req;
+    q_.push(e);
+}
+
+ControlEvent
+ControlQueue::pop()
+{
+    ControlEvent e = q_.top();
+    q_.pop();
+    return e;
+}
+
+void
+ControlQueue::armTimeout(std::int64_t &armed_id, std::int64_t front_id,
+                         double deadline_s, int kind, int target)
+{
+    if (front_id == armed_id)
+        return;
+    armed_id = front_id;
+    push(deadline_s, kind, target);
+}
+
+PlannedDispatch &
+planDispatch(ControlQueue &evq, std::vector<Instance> &instances,
+             int inst_idx, const EngineSet &set, int version, double t,
+             std::vector<std::int64_t> ids, int free_kind)
+{
+    Instance &inst = instances[static_cast<std::size_t>(inst_idx)];
+    PlannedDispatch pd;
+    pd.t_s = t;
+    pd.batch = static_cast<int>(ids.size());
+    pd.engine_idx = set.indexFor(pd.batch);
+    pd.version = version;
+    pd.request_ids = std::move(ids);
+    pd.predicted_service_s =
+        set.service_s[static_cast<std::size_t>(pd.engine_idx)];
+    inst.predicted_free_s = t + pd.predicted_service_s;
+    evq.push(inst.predicted_free_s, free_kind, inst_idx);
+    inst.plan.push_back(std::move(pd));
+    return inst.plan.back();
+}
+
+EngineSet
+buildEngineSet(const gpusim::DeviceSpec &device,
+               const core::BuilderConfig &bcfg, const std::string &model,
+               const std::vector<int> &ladder)
+{
+    core::Builder builder(device, bcfg);
+    EngineSet set;
+    for (int b : ladder) {
+        set.engines.push_back(builder.build(nn::buildZooModel(model, b)));
+        set.batches.push_back(b);
+    }
+    for (const auto &eng : set.engines) {
+        LatencyPredictor pred(device);
+        pred.calibrate(eng);
+        set.service_s.push_back(pred.predictServiceSeconds(eng));
+    }
+    return set;
+}
+
+bool
+EngineVersion::available() const
+{
+    for (const auto &s : sets)
+        if (!s.engines.empty())
+            return true;
+    return false;
+}
+
+void
+enqueuePlan(gpusim::GpuSim &sim, Instance &inst,
+            const std::vector<EngineVersion> &versions, int target,
+            int release_stream, int ctx_stream, const IssueFn &issue)
+{
+    std::map<std::pair<int, int>,
+             std::unique_ptr<runtime::ExecutionContext>>
+        ctxs;
+    for (auto &pd : inst.plan) {
+        sim.delayUntil(release_stream, pd.t_s);
+        auto &ctx = ctxs[{pd.version, pd.engine_idx}];
+        if (!ctx)
+            ctx = std::make_unique<runtime::ExecutionContext>(
+                versions[static_cast<std::size_t>(pd.version)]
+                    .sets[static_cast<std::size_t>(target)]
+                    .engines[static_cast<std::size_t>(pd.engine_idx)],
+                sim, ctx_stream);
+        runtime::InferenceHandle h = issue(*ctx);
+        pd.begin = h.begin;
+        pd.upload_done = h.upload_done;
+        pd.compute_done = h.compute_done;
+        pd.end = h.end;
+    }
+}
+
+std::optional<PoolStats>
+runDevices(const DeviceSims &sims,
+           const std::vector<gpusim::DeviceSpec> &devices,
+           int sim_threads, gpusim::TraceMode trace_mode,
+           int trace_sample_every, const std::string &span,
+           std::vector<double> *wall_s)
+{
+    const int n = static_cast<int>(sims.size());
+    for (auto &sim : sims)
+        sim->setTraceMode(trace_mode, trace_sample_every);
+    auto runDevice = [&](std::size_t d) {
+        if (!wall_s) {
+            sims[d]->run();
+            return;
+        }
+        std::uint64_t t0 = obs::clock().nowNanos();
+        sims[d]->run();
+        (*wall_s)[d] =
+            static_cast<double>(obs::clock().nowNanos() - t0) * 1e-9;
+    };
+    if (wall_s)
+        wall_s->assign(sims.size(), 0.0);
+    const int threads = std::min(std::max(1, sim_threads), n);
+    if (threads <= 1) {
+        for (int d = 0; d < n; d++) {
+            EDGERT_SPAN(span,
+                        {{"device",
+                          devices[static_cast<std::size_t>(d)].name},
+                         {"index", std::to_string(d)}});
+            runDevice(static_cast<std::size_t>(d));
+        }
+        return std::nullopt;
+    }
+    EDGERT_SPAN(span, {{"devices", std::to_string(n)},
+                       {"threads", std::to_string(threads)}});
+    for (auto &sim : sims)
+        sim->setDeferMetrics(true);
+    ThreadPool tp(threads);
+    tp.parallelFor(static_cast<std::size_t>(n), runDevice);
+    for (auto &sim : sims) {
+        sim->commitMetrics();
+        sim->setDeferMetrics(false);
+    }
+    return tp.stats();
+}
+
+std::vector<DeviceStats>
+deviceReport(const DeviceSims &sims,
+             const std::vector<gpusim::DeviceSpec> &devices,
+             const InstancePool &pool, const std::string &prefix)
+{
+    obs::MetricRegistry &reg = obs::MetricRegistry::global();
+    std::vector<DeviceStats> out;
+    for (std::size_t d = 0; d < devices.size(); d++) {
+        const auto &spec = devices[d];
+        const int di = static_cast<int>(d);
+        DeviceStats s;
+        s.device = spec.name;
+        for (const auto &inst : pool.instances())
+            if (inst.device == di)
+                s.instances++;
+        auto st = sims[d]->stats();
+        s.sm_util_pct = st.smUtilizationPct(spec.sm_count);
+        s.copy_busy_pct = st.window_s > 0.0
+                              ? 100.0 * st.copy_busy_s / st.window_s
+                              : 0.0;
+        s.makespan_s = sims[d]->nowSeconds();
+        s.ram_used_bytes = pool.ramUsedBytes(di);
+        s.ram_budget_bytes = pool.ramBudgetBytes(di);
+
+        const obs::Labels labels = {{"device", spec.name},
+                                    {"index", std::to_string(d)}};
+        reg.gauge(prefix + ".device.sm_util_pct", labels)
+            .set(s.sm_util_pct);
+        reg.gauge(prefix + ".device.copy_busy_pct", labels)
+            .set(s.copy_busy_pct);
+        reg.gauge(prefix + ".device.instances", labels)
+            .set(static_cast<double>(s.instances));
+        out.push_back(std::move(s));
+    }
+    return out;
+}
+
+void
+writeDevicesJson(std::ostream &os, const std::vector<DeviceStats> &devices)
+{
+    os << "  \"devices\": [\n";
+    for (std::size_t i = 0; i < devices.size(); i++) {
+        const DeviceStats &s = devices[i];
+        os << "    {\n";
+        os << "      \"device\": \"" << jsonEscape(s.device) << "\",\n";
+        os << "      \"instances\": " << s.instances << ",\n";
+        os << "      \"sm_util_pct\": " << jsonNumber(s.sm_util_pct)
+           << ",\n";
+        os << "      \"copy_busy_pct\": " << jsonNumber(s.copy_busy_pct)
+           << ",\n";
+        os << "      \"makespan_s\": " << jsonNumber(s.makespan_s)
+           << ",\n";
+        os << "      \"ram_used_bytes\": " << s.ram_used_bytes << ",\n";
+        os << "      \"ram_budget_bytes\": " << s.ram_budget_bytes
+           << "\n";
+        os << "    }" << (i + 1 < devices.size() ? "," : "") << "\n";
+    }
+    os << "  ]";
+}
+
+void
+saveDeviceTraces(const std::string &path, const DeviceSims &sims,
+                 const std::vector<gpusim::DeviceSpec> &devices,
+                 const std::vector<profile::SimSpan> &overlay,
+                 const std::string &overlay_name)
+{
+    std::vector<profile::NamedTrace> device_traces;
+    for (std::size_t d = 0; d < sims.size(); d++) {
+        const auto &sim = *sims[d];
+        profile::NamedTrace nt;
+        nt.name = devices[d].name + "[" + std::to_string(d) + "]";
+        nt.trace = &sim.trace();
+        if (sim.traceMode() == gpusim::TraceMode::kSampled)
+            nt.sample_every = sim.traceSampleEvery();
+        device_traces.push_back(std::move(nt));
+    }
+    profile::saveMergedChromeTrace(path, obs::Tracer::global().spans(),
+                                   device_traces, overlay,
+                                   overlay_name);
+}
+
+} // namespace edgert::serve

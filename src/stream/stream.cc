@@ -1,54 +1,30 @@
 #include "stream/stream.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <sstream>
+#include <tuple>
 
+#include "common/fileio.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/threadpool.hh"
-#include "core/builder.hh"
 #include "core/timing_cache.hh"
-#include "nn/model_zoo.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "profile/trace_export.hh"
 #include "runtime/context.hh"
 #include "runtime/measure.hh"
 #include "serve/batcher.hh"
 #include "serve/scheduler.hh"
-#include "serve/predictor.hh"
 
 namespace edgert::stream {
 
 namespace {
 
-/** Control-plane discrete event. */
-struct Event
-{
-    enum Kind { kFrameReady, kTimeout, kPredFree };
-
-    double t = 0.0;
-    std::int64_t seq = 0; //!< push order: deterministic tie-break
-    Kind kind = kFrameReady;
-    int target = 0;       //!< model (ready/timeout) or instance
-    std::int64_t req = -1;
-};
-
-struct EventAfter
-{
-    bool operator()(const Event &a, const Event &b) const
-    {
-        if (a.t != b.t)
-            return a.t > b.t;
-        return a.seq > b.seq;
-    }
-};
+/** Control-event kinds; the target is the model (ready, timeout)
+ *  or the instance (predicted-free). */
+enum EventKind { kFrameReady, kTimeout, kPredFree };
 
 /** One frame's whole lifecycle (the stream analogue of Request). */
 struct FrameRec
@@ -101,20 +77,13 @@ struct ModelMetrics
     obs::Histogram age_ms;
 
     explicit ModelMetrics(const std::string &model)
-        : produced(obs::MetricRegistry::global().counter(
-              "stream.frame.produced", {{"model", model}})),
-          dropped(obs::MetricRegistry::global().counter(
-              "stream.frame.dropped", {{"model", model}})),
-          completed(obs::MetricRegistry::global().counter(
-              "stream.frame.completed", {{"model", model}})),
-          stale(obs::MetricRegistry::global().counter(
-              "stream.frame.stale", {{"model", model}})),
-          batches(obs::MetricRegistry::global().counter(
-              "stream.batch.dispatched", {{"model", model}})),
-          batch_size(obs::MetricRegistry::global().histogram(
-              "stream.batch.size", {{"model", model}})),
-          age_ms(obs::MetricRegistry::global().histogram(
-              "stream.frame.age_ms", {{"model", model}}))
+        : produced(serve::modelCounter("stream.frame.produced", model)),
+          dropped(serve::modelCounter("stream.frame.dropped", model)),
+          completed(serve::modelCounter("stream.frame.completed", model)),
+          stale(serve::modelCounter("stream.frame.stale", model)),
+          batches(serve::modelCounter("stream.batch.dispatched", model)),
+          batch_size(serve::modelHistogram("stream.batch.size", model)),
+          age_ms(serve::modelHistogram("stream.frame.age_ms", model))
     {}
 };
 
@@ -135,13 +104,10 @@ jitteredSeconds(double base_ms, double jitter_pct, Rng &rng)
 }
 
 /** Canonical freshness watch report (cfg.watch.out_path). */
-void
-writeFreshnessFile(const std::string &path,
-                   const watch::SloTrackerSet &slo)
+std::string
+freshnessJson(const watch::SloTrackerSet &slo)
 {
-    std::ofstream f(path);
-    if (!f)
-        fatal("EdgeStream: cannot write '", path, "'");
+    std::ostringstream f;
     f << "{\n  \"lanes\": [\n";
     auto keys = slo.keys();
     for (std::size_t i = 0; i < keys.size(); i++) {
@@ -161,6 +127,7 @@ writeFreshnessFile(const std::string &path,
       << ", \"warns\": " << r.warns << ", \"clears\": " << r.clears
       << ", \"first_page_s\": " << jsonNumber(r.first_page_s)
       << "}\n}\n";
+    return f.str();
 }
 
 } // namespace
@@ -201,46 +168,28 @@ runStreams(const StreamConfig &cfg)
     // machinery, not its resilience experiments.
     // ------------------------------------------------------------
     core::TimingCache timing_cache;
-    std::vector<std::vector<serve::EngineSet>> sets(
-        static_cast<std::size_t>(n_models)); //!< [model][device]
-    std::vector<std::vector<std::vector<double>>> svc(
-        static_cast<std::size_t>(n_models)); //!< [m][d][engine]
+    std::vector<std::vector<serve::EngineVersion>> versions(
+        static_cast<std::size_t>(n_models)); //!< one version per model
     {
         EDGERT_SPAN("stream_build",
                     {{"models", std::to_string(n_models)},
                      {"devices", std::to_string(n_devices)}});
         for (int m = 0; m < n_models; m++) {
             const auto &mc = cfg.models[static_cast<std::size_t>(m)];
+            core::BuilderConfig bcfg;
+            bcfg.precision = mc.precision;
+            bcfg.calibration_seed = mc.calibration_seed;
+            bcfg.build_id = cfg.build_id;
+            bcfg.jobs = cfg.build_jobs;
+            bcfg.timing_cache = &timing_cache;
             auto ladder =
                 serve::engineBatchLadder(mc.batching.max_batch);
-            for (int d = 0; d < n_devices; d++) {
-                const auto &spec =
-                    cfg.devices[static_cast<std::size_t>(d)];
-                core::BuilderConfig bcfg;
-                bcfg.precision = mc.precision;
-                bcfg.calibration_seed = mc.calibration_seed;
-                bcfg.build_id = cfg.build_id;
-                bcfg.jobs = cfg.build_jobs;
-                bcfg.timing_cache = &timing_cache;
-                core::Builder builder(spec, bcfg);
-                serve::EngineSet set;
-                std::vector<double> svc_d;
-                for (int b : ladder) {
-                    set.engines.push_back(builder.build(
-                        nn::buildZooModel(mc.model, b)));
-                    set.batches.push_back(b);
-                }
-                for (const auto &eng : set.engines) {
-                    serve::LatencyPredictor pred(spec);
-                    pred.calibrate(eng);
-                    svc_d.push_back(
-                        pred.predictServiceSeconds(eng));
-                }
-                sets[static_cast<std::size_t>(m)].push_back(
-                    std::move(set));
-                svc[static_cast<std::size_t>(m)].push_back(
-                    std::move(svc_d));
-            }
+            serve::EngineVersion &ver =
+                versions[static_cast<std::size_t>(m)].emplace_back();
+            ver.build_id = cfg.build_id;
+            for (const auto &spec : cfg.devices)
+                ver.sets.push_back(serve::buildEngineSet(
+                    spec, bcfg, mc.model, ladder));
         }
     }
 
@@ -248,7 +197,6 @@ runStreams(const StreamConfig &cfg)
     // Placement: RAM-bounded instances per device, capped by the
     // paper's Eq. 1 concurrency bound.
     // ------------------------------------------------------------
-    obs::MetricRegistry &reg = obs::MetricRegistry::global();
     serve::InstancePool pool(cfg.devices, cfg.ram_fraction);
     for (int m = 0; m < n_models; m++) {
         const auto &mc = cfg.models[static_cast<std::size_t>(m)];
@@ -256,8 +204,8 @@ runStreams(const StreamConfig &cfg)
         for (int d = 0; d < n_devices; d++) {
             const auto &spec =
                 cfg.devices[static_cast<std::size_t>(d)];
-            const auto &set = sets[static_cast<std::size_t>(m)]
-                                  [static_cast<std::size_t>(d)];
+            const auto &set = versions[static_cast<std::size_t>(m)][0]
+                                  .sets[static_cast<std::size_t>(d)];
             int eq1 = runtime::estimateMaxThreads(
                 set.engines.front(), spec,
                 runtime::ThroughputOptions::probe());
@@ -275,10 +223,9 @@ runStreams(const StreamConfig &cfg)
     // Per-device simulators; every instance owns an upload, a
     // compute and a download stream so enqueueStagedPipelined can
     // overlap stage k of frame i with stage k-1 of frame i+1.
-    std::vector<std::unique_ptr<gpusim::GpuSim>> sims;
-    for (int d = 0; d < n_devices; d++)
-        sims.push_back(std::make_unique<gpusim::GpuSim>(
-            cfg.devices[static_cast<std::size_t>(d)]));
+    serve::DeviceSims sims;
+    for (const auto &spec : cfg.devices)
+        sims.push_back(std::make_unique<gpusim::GpuSim>(spec));
     std::vector<int> up_stream(pool.instances().size(), 0);
     std::vector<int> comp_stream(pool.instances().size(), 0);
     std::vector<int> down_stream(pool.instances().size(), 0);
@@ -312,16 +259,6 @@ runStreams(const StreamConfig &cfg)
         Rng root(cfg.seed);
         Rng frames_rng = root.fork("frames");
         Rng stages_rng = root.fork("stages");
-        struct Key
-        {
-            double capture_s;
-            int model;
-            int stream;
-            std::int64_t seq;
-            std::size_t idx;
-        };
-        std::vector<Key> order;
-        std::vector<FrameRec> raw;
         for (int m = 0; m < n_models; m++) {
             const auto &mc =
                 cfg.models[static_cast<std::size_t>(m)];
@@ -365,28 +302,19 @@ runStreams(const StreamConfig &cfg)
                         std::max(fr.decode_done_s, pre_free);
                     fr.ready_s = pstart + fr.preprocess_dur_s;
                     pre_free = fr.ready_s;
-                    order.push_back(Key{fr.capture_s, m, s,
-                                        fr.seq, raw.size()});
-                    raw.push_back(fr);
+                    frames.push_back(fr);
                 }
             }
         }
-        std::sort(order.begin(), order.end(),
-                  [](const Key &a, const Key &b) {
-                      if (a.capture_s != b.capture_s)
-                          return a.capture_s < b.capture_s;
-                      if (a.model != b.model)
-                          return a.model < b.model;
-                      if (a.stream != b.stream)
-                          return a.stream < b.stream;
-                      return a.seq < b.seq;
+        std::sort(frames.begin(), frames.end(),
+                  [](const FrameRec &a, const FrameRec &b) {
+                      return std::tie(a.capture_s, a.model, a.stream,
+                                      a.seq) <
+                             std::tie(b.capture_s, b.model, b.stream,
+                                      b.seq);
                   });
-        frames.reserve(raw.size());
-        for (const Key &k : order) {
-            FrameRec fr = raw[k.idx];
-            fr.id = static_cast<std::int64_t>(frames.size());
-            frames.push_back(fr);
-        }
+        for (std::size_t i = 0; i < frames.size(); i++)
+            frames[i].id = static_cast<std::int64_t>(i);
     }
 
     // ------------------------------------------------------------
@@ -407,19 +335,10 @@ runStreams(const StreamConfig &cfg)
     std::vector<std::int64_t> timeout_armed(
         static_cast<std::size_t>(n_models), -1);
 
-    std::priority_queue<Event, std::vector<Event>, EventAfter> evq;
-    std::int64_t seq = 0;
-    for (const FrameRec &fr : frames) {
-        if (fr.ready_s > cfg.duration_s)
-            continue; // still decoding when the run ends
-        Event e;
-        e.t = fr.ready_s;
-        e.seq = seq++;
-        e.kind = Event::kFrameReady;
-        e.target = fr.model;
-        e.req = fr.id;
-        evq.push(e);
-    }
+    serve::ControlQueue evq;
+    for (const FrameRec &fr : frames)
+        if (fr.ready_s <= cfg.duration_s) // else still decoding at the end
+            evq.push(fr.ready_s, kFrameReady, fr.model, fr.id);
 
     auto tryDispatch = [&](int m, double t) {
         auto &q = queues[static_cast<std::size_t>(m)];
@@ -433,67 +352,41 @@ runStreams(const StreamConfig &cfg)
                 q.size(), q.oldestReadySeconds(), t);
             if (cut == 0)
                 break;
-            serve::Instance &inst =
-                pool.instances()[static_cast<std::size_t>(
-                    inst_idx)];
-            const auto &set =
-                sets[static_cast<std::size_t>(m)]
-                    [static_cast<std::size_t>(inst.device)];
-            int eidx = set.indexFor(cut);
-            double svc_s =
-                svc[static_cast<std::size_t>(m)]
-                   [static_cast<std::size_t>(inst.device)]
-                   [static_cast<std::size_t>(eidx)];
-            serve::PlannedDispatch pd;
-            pd.t_s = t;
-            pd.engine_idx = eidx;
-            pd.batch = cut;
-            pd.request_ids = q.cut(cut);
-            pd.predicted_service_s = svc_s;
+            const int device =
+                pool.instances()[static_cast<std::size_t>(inst_idx)]
+                    .device;
+            const serve::PlannedDispatch &pd = serve::planDispatch(
+                evq, pool.instances(), inst_idx,
+                versions[static_cast<std::size_t>(m)][0]
+                    .sets[static_cast<std::size_t>(device)],
+                0, t, q.cut(cut), kPredFree);
             for (std::int64_t id : pd.request_ids) {
                 FrameRec &fr =
                     frames[static_cast<std::size_t>(id)];
                 fr.dispatch_s = t;
                 fr.batch = cut;
-                fr.device = inst.device;
+                fr.device = device;
                 fr.instance = inst_idx;
             }
-            inst.plan.push_back(std::move(pd));
-            inst.predicted_free_s = t + svc_s;
-            Event e;
-            e.t = inst.predicted_free_s;
-            e.seq = seq++;
-            e.kind = Event::kPredFree;
-            e.target = inst_idx;
-            evq.push(e);
             mm[static_cast<std::size_t>(m)].batches.add();
             mm[static_cast<std::size_t>(m)].batch_size.record(cut);
         }
-        // Arm (or re-arm after a front change) the batch timeout.
-        if (!q.empty() &&
-            q.frontId() !=
-                timeout_armed[static_cast<std::size_t>(m)]) {
-            timeout_armed[static_cast<std::size_t>(m)] =
-                q.frontId();
-            Event e;
-            e.t = batcher.deadlineFor(q.oldestReadySeconds());
-            e.seq = seq++;
-            e.kind = Event::kTimeout;
-            e.target = m;
-            evq.push(e);
-        }
+        if (!q.empty())
+            evq.armTimeout(
+                timeout_armed[static_cast<std::size_t>(m)],
+                q.frontId(), batcher.deadlineFor(q.oldestReadySeconds()),
+                kTimeout, m);
     };
 
     {
         EDGERT_SPAN("stream_control",
                     {{"frames", std::to_string(frames.size())}});
         while (!evq.empty()) {
-            Event e = evq.top();
-            evq.pop();
+            serve::ControlEvent e = evq.pop();
             if (e.t > cfg.duration_s)
                 continue; // the camera window is over
             switch (e.kind) {
-              case Event::kFrameReady: {
+              case kFrameReady: {
                   FrameRec &fr =
                       frames[static_cast<std::size_t>(e.req)];
                   const int m = fr.model;
@@ -512,10 +405,10 @@ runStreams(const StreamConfig &cfg)
                   tryDispatch(m, e.t);
                   break;
               }
-              case Event::kTimeout:
+              case kTimeout:
                   tryDispatch(e.target, e.t);
                   break;
-              case Event::kPredFree:
+              case kPredFree:
                   tryDispatch(
                       pool.instances()[static_cast<std::size_t>(
                                            e.target)]
@@ -534,65 +427,20 @@ runStreams(const StreamConfig &cfg)
     // defer and commit in device index order under sim_threads > 1
     // so every observable stays byte-identical to serial.
     // ------------------------------------------------------------
-    {
-        std::vector<
-            std::map<int, std::unique_ptr<
-                              runtime::ExecutionContext>>>
-            ctxs(pool.instances().size());
-        for (std::size_t i = 0; i < pool.instances().size(); i++) {
-            serve::Instance &inst = pool.instances()[i];
-            auto &sim =
-                *sims[static_cast<std::size_t>(inst.device)];
-            for (auto &pd : inst.plan) {
-                sim.delayUntil(up_stream[i], pd.t_s);
-                auto &ctx = ctxs[i][pd.engine_idx];
-                if (!ctx)
-                    ctx = std::make_unique<
-                        runtime::ExecutionContext>(
-                        sets[static_cast<std::size_t>(inst.model)]
-                            [static_cast<std::size_t>(inst.device)]
-                                .engines[static_cast<std::size_t>(
-                                    pd.engine_idx)],
-                        sim, comp_stream[i]);
-                auto h = ctx->enqueueStagedPipelined(
-                    up_stream[i], down_stream[i]);
-                pd.begin = h.begin;
-                pd.upload_done = h.upload_done;
-                pd.compute_done = h.compute_done;
-                pd.end = h.end;
-            }
-        }
-        for (auto &sim : sims)
-            sim->setTraceMode(cfg.trace_mode,
-                              cfg.trace_sample_every);
-        auto runDevice = [&](std::size_t d) { sims[d]->run(); };
-        const int threads =
-            std::min(std::max(1, cfg.sim_threads), n_devices);
-        if (threads <= 1) {
-            for (int d = 0; d < n_devices; d++) {
-                EDGERT_SPAN(
-                    "stream_replay",
-                    {{"device",
-                      cfg.devices[static_cast<std::size_t>(d)]
-                          .name},
-                     {"index", std::to_string(d)}});
-                runDevice(static_cast<std::size_t>(d));
-            }
-        } else {
-            EDGERT_SPAN("stream_replay",
-                        {{"devices", std::to_string(n_devices)},
-                         {"threads", std::to_string(threads)}});
-            for (auto &sim : sims)
-                sim->setDeferMetrics(true);
-            ThreadPool tp(threads);
-            tp.parallelFor(static_cast<std::size_t>(n_devices),
-                           runDevice);
-            for (auto &sim : sims) {
-                sim->commitMetrics();
-                sim->setDeferMetrics(false);
-            }
-        }
+    for (std::size_t i = 0; i < pool.instances().size(); i++) {
+        serve::Instance &inst = pool.instances()[i];
+        serve::enqueuePlan(
+            *sims[static_cast<std::size_t>(inst.device)], inst,
+            versions[static_cast<std::size_t>(inst.model)], inst.device,
+            up_stream[i], comp_stream[i],
+            [&](runtime::ExecutionContext &ctx) {
+                return ctx.enqueueStagedPipelined(up_stream[i],
+                                                  down_stream[i]);
+            });
     }
+    serve::runDevices(sims, cfg.devices, cfg.sim_threads,
+                      cfg.trace_mode, cfg.trace_sample_every,
+                      "stream_replay");
 
     // Fold measured completions back into the frame table
     // (instance order, then plan order — deterministic), then run
@@ -692,14 +540,7 @@ runStreams(const StreamConfig &cfg)
         }
     }
 
-    watch::SloTracker::Config scfg;
-    scfg.objective_pct = cfg.watch.slo_objective_pct;
-    scfg.page_burn = cfg.watch.page_burn;
-    scfg.warn_burn = cfg.watch.warn_burn;
-    scfg.fast_window_s = cfg.watch.fast_window_s;
-    scfg.mid_window_s = cfg.watch.mid_window_s;
-    scfg.slow_window_s = cfg.watch.slow_window_s;
-    watch::SloTrackerSet slo(scfg);
+    watch::SloTrackerSet slo(cfg.watch.trackerConfig());
     {
         struct Item
         {
@@ -740,7 +581,7 @@ runStreams(const StreamConfig &cfg)
         }
     }
     if (cfg.watch.enabled && !cfg.watch.out_path.empty())
-        writeFreshnessFile(cfg.watch.out_path, slo);
+        writeFileChecked(cfg.watch.out_path, freshnessJson(slo));
 
     // ------------------------------------------------------------
     // Report assembly (model order, then stream order).
@@ -780,8 +621,8 @@ runStreams(const StreamConfig &cfg)
                 ? static_cast<double>(dispatched) /
                       static_cast<double>(s.batches)
                 : 0.0;
-        // Stage attribution over completed frames, reusing the
-        // RequestTrace breakdown for the infer stages.
+        // Stage attribution over completed frames; the infer stages
+        // split at watch::RequestTrace's boundaries.
         std::int64_t n = 0;
         double dec = 0.0, pre = 0.0, que = 0.0, dw = 0.0,
                up = 0.0, comp = 0.0, down = 0.0, post = 0.0;
@@ -789,20 +630,13 @@ runStreams(const StreamConfig &cfg)
             if (fr.model != m ||
                 fr.outcome != FrameRec::kCompleted)
                 continue;
-            watch::RequestTrace rt;
-            rt.arrival_s = fr.ready_s;
-            rt.dispatch_s = fr.dispatch_s;
-            rt.begin_s = fr.begin_s;
-            rt.upload_done_s = fr.upload_done_s;
-            rt.compute_done_s = fr.compute_done_s;
-            rt.done_s = fr.done_s;
             dec += (fr.decode_done_s - fr.capture_s) * 1e3;
             pre += (fr.ready_s - fr.decode_done_s) * 1e3;
-            que += rt.queueMs();
-            dw += rt.dispatchWaitMs();
-            up += rt.uploadMs();
-            comp += rt.computeMs();
-            down += rt.downloadMs();
+            que += (fr.dispatch_s - fr.ready_s) * 1e3;
+            dw += (fr.begin_s - fr.dispatch_s) * 1e3;
+            up += (fr.upload_done_s - fr.begin_s) * 1e3;
+            comp += (fr.compute_done_s - fr.upload_done_s) * 1e3;
+            down += (fr.done_s - fr.compute_done_s) * 1e3;
             post += (fr.post_done_s - fr.done_s) * 1e3;
             n++;
         }
@@ -829,52 +663,11 @@ runStreams(const StreamConfig &cfg)
         report.models.push_back(std::move(s));
     }
 
-    for (int d = 0; d < n_devices; d++) {
-        auto di = static_cast<std::size_t>(d);
-        const auto &spec = cfg.devices[di];
-        StreamDeviceStats s;
-        s.device = spec.name;
-        for (const auto &inst : pool.instances())
-            if (inst.device == d)
-                s.instances++;
-        auto st = sims[di]->stats();
-        s.sm_util_pct = st.smUtilizationPct(spec.sm_count);
-        s.copy_busy_pct =
-            st.window_s > 0.0
-                ? 100.0 * st.copy_busy_s / st.window_s
-                : 0.0;
-        s.makespan_s = sims[di]->nowSeconds();
-        s.ram_used_bytes = pool.ramUsedBytes(d);
-        s.ram_budget_bytes = pool.ramBudgetBytes(d);
-
-        const obs::Labels labels = {{"device", spec.name},
-                                    {"index", std::to_string(d)}};
-        reg.gauge("stream.device.sm_util_pct", labels)
-            .set(s.sm_util_pct);
-        reg.gauge("stream.device.copy_busy_pct", labels)
-            .set(s.copy_busy_pct);
-        reg.gauge("stream.device.instances", labels)
-            .set(static_cast<double>(s.instances));
-        report.devices.push_back(std::move(s));
-    }
-
-    if (!cfg.trace_out.empty()) {
-        std::vector<profile::NamedTrace> device_traces;
-        for (int d = 0; d < n_devices; d++) {
-            const auto &sim = *sims[static_cast<std::size_t>(d)];
-            profile::NamedTrace nt;
-            nt.name =
-                cfg.devices[static_cast<std::size_t>(d)].name +
-                "[" + std::to_string(d) + "]";
-            nt.trace = &sim.trace();
-            if (sim.traceMode() == gpusim::TraceMode::kSampled)
-                nt.sample_every = sim.traceSampleEvery();
-            device_traces.push_back(std::move(nt));
-        }
-        profile::saveMergedChromeTrace(
-            cfg.trace_out, obs::Tracer::global().spans(),
-            device_traces, {}, "stream");
-    }
+    report.devices =
+        serve::deviceReport(sims, cfg.devices, pool, "stream");
+    if (!cfg.trace_out.empty())
+        serve::saveDeviceTraces(cfg.trace_out, sims, cfg.devices, {},
+                                "stream");
 
     return report;
 }
@@ -964,27 +757,8 @@ StreamReport::toJson() const
            << "\n";
     }
     os << "  ],\n";
-    os << "  \"devices\": [\n";
-    for (std::size_t i = 0; i < devices.size(); i++) {
-        const StreamDeviceStats &s = devices[i];
-        os << "    {\n";
-        os << "      \"device\": \"" << jsonEscape(s.device)
-           << "\",\n";
-        os << "      \"instances\": " << s.instances << ",\n";
-        os << "      \"sm_util_pct\": "
-           << jsonNumber(s.sm_util_pct) << ",\n";
-        os << "      \"copy_busy_pct\": "
-           << jsonNumber(s.copy_busy_pct) << ",\n";
-        os << "      \"makespan_s\": " << jsonNumber(s.makespan_s)
-           << ",\n";
-        os << "      \"ram_used_bytes\": " << s.ram_used_bytes
-           << ",\n";
-        os << "      \"ram_budget_bytes\": " << s.ram_budget_bytes
-           << "\n";
-        os << "    }" << (i + 1 < devices.size() ? "," : "")
-           << "\n";
-    }
-    os << "  ],\n";
+    serve::writeDevicesJson(os, devices);
+    os << ",\n";
     os << "  \"freshness\": {\"pages\": " << freshness_pages
        << ", \"warns\": " << freshness_warns
        << ", \"clears\": " << freshness_clears

@@ -40,6 +40,7 @@
 #include "gpusim/sim.hh"
 #include "nn/executor.hh"
 #include "serve/queue.hh"
+#include "serve/serving.hh"
 #include "stream/freshness.hh"
 #include "stream/pipeline.hh"
 #include "stream/source.hh"
@@ -133,7 +134,7 @@ struct StreamModelStats
     double mean_batch = 0.0;
 
     // Mean per-stage attribution over completed frames, ms. The
-    // infer stages reuse watch::RequestTrace's breakdown.
+    // infer stages split at watch::RequestTrace's boundaries.
     double decode_mean_ms = 0.0;
     double preprocess_mean_ms = 0.0;
     double queue_mean_ms = 0.0;
@@ -146,25 +147,13 @@ struct StreamModelStats
     std::vector<StreamLaneStats> lanes; //!< stream-index order
 };
 
-/** Per-device replay outcome. */
-struct StreamDeviceStats
-{
-    std::string device;
-    int instances = 0;
-    double sm_util_pct = 0.0;
-    double copy_busy_pct = 0.0;
-    double makespan_s = 0.0;
-    std::int64_t ram_used_bytes = 0;
-    std::int64_t ram_budget_bytes = 0;
-};
-
 /** Full report of one EdgeStream run. */
 struct StreamReport
 {
     std::uint64_t seed = 0;
     double duration_s = 0.0;
     std::vector<StreamModelStats> models;
-    std::vector<StreamDeviceStats> devices;
+    std::vector<serve::DeviceStats> devices;
 
     // Freshness-alert rollup over every (model, stream) key.
     std::int64_t freshness_pages = 0;

@@ -1,9 +1,9 @@
 #include "watch/watch.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
+#include "common/fileio.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -83,15 +83,8 @@ EdgeWatch::EdgeWatch(const WatchConfig &cfg,
     if (models_.size() != slo_ms_.size())
         fatal("EdgeWatch: ", models_.size(), " models vs ",
               slo_ms_.size(), " SLOs");
-    SloTracker::Config tc;
-    tc.objective_pct = cfg.slo_objective_pct;
-    tc.page_burn = cfg.page_burn;
-    tc.warn_burn = cfg.warn_burn;
-    tc.fast_window_s = cfg.fast_window_s;
-    tc.mid_window_s = cfg.mid_window_s;
-    tc.slow_window_s = cfg.slow_window_s;
     for (const std::string &m : models_)
-        trackers_.emplace_back(m, tc);
+        trackers_.emplace_back(m, cfg.trackerConfig());
     summary_.enabled = true;
 }
 
@@ -322,11 +315,8 @@ EdgeWatch::dumpIncident(double t_s, const std::string &reason,
     incidents_.emplace_back(fname, os.str());
     summary_.incidents++;
     if (!cfg_.incident_prefix.empty()) {
-        std::string path = cfg_.incident_prefix + fname;
-        std::ofstream f(path);
-        if (!f)
-            fatal("EdgeWatch: cannot write incident '", path, "'");
-        f << incidents_.back().second;
+        writeFileChecked(cfg_.incident_prefix + fname,
+                         incidents_.back().second);
     }
 }
 
@@ -459,13 +449,8 @@ EdgeWatch::reportJson() const
 void
 EdgeWatch::writeFiles() const
 {
-    if (!cfg_.out_path.empty()) {
-        std::ofstream f(cfg_.out_path);
-        if (!f)
-            fatal("EdgeWatch: cannot write report '", cfg_.out_path,
-                  "'");
-        f << reportJson();
-    }
+    if (!cfg_.out_path.empty())
+        writeFileChecked(cfg_.out_path, reportJson());
     // Incident files were written as they were dumped.
 }
 

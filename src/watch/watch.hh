@@ -64,6 +64,13 @@ struct WatchConfig
     int anomaly_window = 64;
     int anomaly_min_samples = 16;
     double anomaly_margin_pct = 10.0;
+
+    /** The burn-rate tracker knobs above as a SloTracker config. */
+    SloTracker::Config trackerConfig() const
+    {
+        return {slo_objective_pct, page_burn,    warn_burn,
+                fast_window_s,     mid_window_s, slow_window_s};
+    }
 };
 
 /** Per-stage attribution of one request (simulated seconds). */

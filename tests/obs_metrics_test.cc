@@ -416,3 +416,14 @@ TEST(MergeFrom, CrossKindCollisionIsFatal)
     src.gauge("thing").set(1.0);
     EXPECT_THROW(dst.mergeFrom(src), FatalError);
 }
+
+// /dev/full accepts the open and the buffered write and fails only
+// at the flush: a snapshot writer that checks just the open would
+// report success with nothing on disk.
+TEST(Save, FullDiskIsFatal)
+{
+    MetricRegistry reg;
+    reg.counter("requests").add(3);
+    EXPECT_THROW(reg.save("/dev/full"), FatalError);
+    EXPECT_THROW(reg.savePromText("/dev/full"), FatalError);
+}

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "obs/clock.hh"
 #include "obs/metrics.hh"
@@ -120,6 +121,31 @@ TEST(Server, SameSeedRunsAreByteIdentical)
     EXPECT_EQ(metrics_a, metrics_b);
     EXPECT_FALSE(report_a.empty());
     EXPECT_FALSE(metrics_a.empty());
+}
+
+// Devices share nothing once their plans are enqueued: replaying them
+// on a worker pool must not change one byte of the report or of the
+// serve.* metric snapshot.
+TEST(Server, SerialAndThreadedReplayAreByteIdentical)
+{
+    auto runWith = [](int sim_threads) {
+        MetricRegistry::global().reset();
+        FakeClock fake(1'000'000, 500);
+        ScopedClock scoped(&fake);
+        ServeConfig cfg = smallConfig(600, 20, true);
+        cfg.devices.push_back(parseDevice("agx"));
+        cfg.devices.push_back(parseDevice("nx"));
+        cfg.sim_threads = sim_threads;
+        ServeReport rep = runServer(cfg);
+        return std::make_pair(rep.toJson(),
+                              MetricRegistry::global().toJson({"serve."}));
+    };
+    auto [serial_report, serial_metrics] = runWith(1);
+    auto [threaded_report, threaded_metrics] = runWith(4);
+    EXPECT_EQ(serial_report, threaded_report);
+    EXPECT_EQ(serial_metrics, threaded_metrics);
+    EXPECT_NE(serial_metrics.find("serve.request.latency_ms"),
+              std::string::npos);
 }
 
 TEST(Server, SeedChangesTheWorkload)

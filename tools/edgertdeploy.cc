@@ -283,13 +283,9 @@ run(int argc, char **argv)
             a.drift_gate_pct = flags.numberValue();
         else if (flags.is("--metrics-out"))
             a.metrics_out = flags.value();
-        else if (flags.is("--metrics-format")) {
-            a.metrics_format = flags.value();
-            if (a.metrics_format != "json" &&
-                a.metrics_format != "prom")
-                fatal("invalid value '", a.metrics_format,
-                      "' for --metrics-format: expected json|prom");
-        } else if (flags.is("--quiet"))
+        else if (flags.is("--metrics-format"))
+            a.metrics_format = flags.choiceValue({"json", "prom"});
+        else if (flags.is("--quiet"))
             setLogLevel(LogLevel::kWarn);
         else if (flags.is("--help") || flags.is("-h")) {
             usage();
@@ -306,11 +302,8 @@ run(int argc, char **argv)
 
     int rc = dispatch(a);
     if (!a.metrics_out.empty()) {
-        if (a.metrics_format == "prom")
-            obs::MetricRegistry::global().savePromText(
-                a.metrics_out);
-        else
-            obs::MetricRegistry::global().save(a.metrics_out);
+        obs::MetricRegistry::global().saveAs(a.metrics_out,
+                                             a.metrics_format);
     }
     return rc;
 }
@@ -320,11 +313,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // fatal() has already printed the diagnostic through the log
-    // sink; bad arguments must exit non-zero, not abort.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1;
-    }
+    return runCli(run, argc, argv);
 }

@@ -15,7 +15,6 @@
  *   edgertexec --model resnet-18 --trace-build --metrics-out=m.json
  */
 
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -42,18 +41,6 @@
 using namespace edgert;
 
 namespace {
-
-/** Progress chatter ("[edgertexec] ..."); silenced by --quiet. */
-void
-say(const char *fmt, ...)
-{
-    if (logLevel() > LogLevel::kInfo)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::vprintf(fmt, ap);
-    va_end(ap);
-}
 
 struct Args
 {
@@ -183,13 +170,9 @@ parse(int argc, char **argv)
             a.trace_build = true;
         else if (flags.is("--metrics-out"))
             a.metrics_out = flags.value();
-        else if (flags.is("--metrics-format")) {
-            a.metrics_format = flags.value();
-            if (a.metrics_format != "json" &&
-                a.metrics_format != "prom")
-                fatal("invalid value '", a.metrics_format,
-                      "' for --metrics-format: expected json|prom");
-        } else if (flags.is("--dump-dot"))
+        else if (flags.is("--metrics-format"))
+            a.metrics_format = flags.choiceValue({"json", "prom"});
+        else if (flags.is("--dump-dot"))
             a.dump_dot = flags.value();
         else if (flags.is("--dump-trace"))
             a.dump_trace = flags.value();
@@ -419,11 +402,8 @@ run(int argc, char **argv)
     }
 
     if (!args.metrics_out.empty()) {
-        if (args.metrics_format == "prom")
-            obs::MetricRegistry::global().savePromText(
-                args.metrics_out);
-        else
-            obs::MetricRegistry::global().save(args.metrics_out);
+        obs::MetricRegistry::global().saveAs(args.metrics_out,
+                                             args.metrics_format);
         say("[edgertexec] metrics written to %s (%s)\n",
             args.metrics_out.c_str(), args.metrics_format.c_str());
     }
@@ -435,12 +415,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // fatal() has already printed the diagnostic through the log
-    // sink; a corrupt plan file or bad flag must exit non-zero, not
-    // abort or escape as an uncaught exception.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1;
-    }
+    return runCli(run, argc, argv);
 }

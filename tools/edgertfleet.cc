@@ -16,13 +16,13 @@
  *               --sim-threads=8 --report-out=fleet.json
  */
 
-#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cliflags.hh"
+#include "common/fileio.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "fleet/fleet.hh"
@@ -32,38 +32,6 @@
 using namespace edgert;
 
 namespace {
-
-/** Progress chatter ("[edgertfleet] ..."); silenced by --quiet. */
-void
-say(const char *fmt, ...)
-{
-    if (logLevel() > LogLevel::kInfo)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::vprintf(fmt, ap);
-    va_end(ap);
-}
-
-double
-optNumber(const std::string &k, const std::string &v)
-{
-    auto r = parseDouble(v);
-    if (!r.ok())
-        fatal("bad option '", k, "=", v,
-              "': ", r.status().message());
-    return *r;
-}
-
-int
-optInt(const std::string &k, const std::string &v)
-{
-    auto r = parseInt64(v);
-    if (!r.ok())
-        fatal("bad option '", k, "=", v,
-              "': ", r.status().message());
-    return static_cast<int>(*r);
-}
 
 /**
  * Parse one --model spec:
@@ -75,53 +43,39 @@ optInt(const std::string &k, const std::string &v)
  * qps is the *aggregate* fleet-wide offered rate.
  */
 fleet::FleetModelConfig
-parseModelSpec(const std::string &spec)
+parseModelSpec(const std::string &text)
 {
-    auto parts = split(spec, ':');
-    if (parts.empty() || parts[0].empty())
-        fatal("empty --model spec");
+    ModelSpec spec("--model", text);
     fleet::FleetModelConfig mc;
-    mc.model = parts[0];
-    auto at = mc.model.find('@');
-    if (at != std::string::npos) {
-        mc.precision =
-            nn::parsePrecisionName(mc.model.substr(at + 1));
-        mc.model.resize(at);
-        if (mc.model.empty())
-            fatal("empty model name in --model spec '", spec, "'");
-    }
-    for (std::size_t i = 1; i < parts.size(); i++) {
-        auto eq = parts[i].find('=');
-        if (eq == std::string::npos)
-            fatal("bad --model option '", parts[i],
-                  "' (expected key=value)");
-        std::string k = parts[i].substr(0, eq);
-        std::string v = parts[i].substr(eq + 1);
+    mc.model = spec.model;
+    if (!spec.precision.empty())
+        mc.precision = nn::parsePrecisionName(spec.precision);
+    for (const auto &[k, v] : spec.options) {
         if (k == "qps")
-            mc.arrivals.qps = optNumber(k, v);
+            mc.arrivals.qps = spec.number(k, v);
         else if (k == "slo_ms")
-            mc.slo_ms = optNumber(k, v);
+            mc.slo_ms = spec.number(k, v);
         else if (k == "arrival")
             mc.arrivals.kind = serve::parseArrivalKind(v);
         else if (k == "max_batch")
-            mc.batching.max_batch = optInt(k, v);
+            mc.batching.max_batch = spec.integer(k, v);
         else if (k == "timeout_us")
-            mc.batching.timeout_us = optNumber(k, v);
+            mc.batching.timeout_us = spec.number(k, v);
         else if (k == "instances")
-            mc.instances_per_node = optInt(k, v);
+            mc.instances_per_node = spec.integer(k, v);
         else if (k == "nodes_pct")
-            mc.nodes_pct = optNumber(k, v);
+            mc.nodes_pct = spec.number(k, v);
         else if (k == "burst_factor")
-            mc.arrivals.burst_factor = optNumber(k, v);
+            mc.arrivals.burst_factor = spec.number(k, v);
         else if (k == "period_s")
-            mc.arrivals.period_s = optNumber(k, v);
+            mc.arrivals.period_s = spec.number(k, v);
         else if (k == "duty")
-            mc.arrivals.duty = optNumber(k, v);
+            mc.arrivals.duty = spec.number(k, v);
         else if (k == "calib_seed")
             mc.calibration_seed =
-                static_cast<std::uint64_t>(optInt(k, v));
+                static_cast<std::uint64_t>(spec.integer(k, v));
         else
-            fatal("unknown --model option '", k, "'");
+            spec.unknown(k);
     }
     return mc;
 }
@@ -135,15 +89,16 @@ parseFailure(const std::string &spec)
         fatal("bad --fail spec '", spec,
               "' (expected node:t[:rejoin=t])");
     fleet::FailureSpec f;
-    f.node = optInt("fail node", parts[0]);
-    f.fail_s = optNumber("fail time", parts[1]);
+    f.node = specInt("--fail", "node", parts[0]);
+    f.fail_s = specNumber("--fail", "time", parts[1]);
     for (std::size_t i = 2; i < parts.size(); i++) {
         auto eq = parts[i].find('=');
         if (eq == std::string::npos ||
             parts[i].substr(0, eq) != "rejoin")
             fatal("bad --fail option '", parts[i],
                   "' (expected rejoin=t)");
-        f.rejoin_s = optNumber("rejoin", parts[i].substr(eq + 1));
+        f.rejoin_s =
+            specNumber("--fail", "rejoin", parts[i].substr(eq + 1));
     }
     return f;
 }
@@ -169,9 +124,10 @@ parseRollout(const std::string &spec)
         std::string v = parts[i].substr(eq + 1);
         if (k == "build")
             ro.candidate_build_id = static_cast<std::uint64_t>(
-                optInt(k, v));
+                specInt("--rollout", k, v));
         else if (k == "gate_pct")
-            ro.gate.max_disagreement_pct = optNumber(k, v);
+            ro.gate.max_disagreement_pct =
+                specNumber("--rollout", k, v);
         else if (k == "stages") {
             for (const auto &st : split(v, ',')) {
                 auto at = st.find('@');
@@ -179,8 +135,10 @@ parseRollout(const std::string &spec)
                     fatal("bad --rollout stage '", st,
                           "' (expected pct@t)");
                 fleet::RolloutStage s;
-                s.pct = optNumber("stage pct", st.substr(0, at));
-                s.t_s = optNumber("stage time", st.substr(at + 1));
+                s.pct = specNumber("--rollout", "stage pct",
+                                   st.substr(0, at));
+                s.t_s = specNumber("--rollout", "stage time",
+                                   st.substr(at + 1));
                 ro.stages.push_back(s);
             }
         } else
@@ -295,23 +253,15 @@ parse(int argc, char **argv)
             a.cfg.failures.push_back(parseFailure(flags.value()));
         else if (flags.is("--rollout"))
             a.cfg.rollouts.push_back(parseRollout(flags.value()));
-        else if (flags.is("--sim-threads")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --sim-threads: must be at least 1");
-            a.cfg.sim_threads = static_cast<int>(n);
-        } else if (flags.is("--report-out"))
+        else if (flags.is("--sim-threads"))
+            a.cfg.sim_threads = flags.positiveValue();
+        else if (flags.is("--report-out"))
             a.report_out = flags.value();
         else if (flags.is("--metrics-out"))
             a.metrics_out = flags.value();
-        else if (flags.is("--metrics-format")) {
-            a.metrics_format = flags.value();
-            if (a.metrics_format != "json" &&
-                a.metrics_format != "prom")
-                fatal("invalid value '", a.metrics_format,
-                      "' for --metrics-format: expected json|prom");
-        } else if (flags.is("--quiet"))
+        else if (flags.is("--metrics-format"))
+            a.metrics_format = flags.choiceValue({"json", "prom"});
+        else if (flags.is("--quiet"))
             a.quiet = true;
         else if (flags.is("--list")) {
             for (const auto &m : nn::zooModelNames())
@@ -420,21 +370,13 @@ run(int argc, char **argv)
         static_cast<long long>(report.unaccounted), report.p99_ms);
 
     if (!args.report_out.empty()) {
-        std::FILE *f = std::fopen(args.report_out.c_str(), "w");
-        if (!f)
-            fatal("cannot write '", args.report_out, "'");
-        std::string json = report.toJson();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
+        writeFileChecked(args.report_out, report.toJson());
         say("[edgertfleet] report written to %s\n",
             args.report_out.c_str());
     }
     if (!args.metrics_out.empty()) {
-        if (args.metrics_format == "prom")
-            obs::MetricRegistry::global().savePromText(
-                args.metrics_out);
-        else
-            obs::MetricRegistry::global().save(args.metrics_out);
+        obs::MetricRegistry::global().saveAs(args.metrics_out,
+                                             args.metrics_format);
         say("[edgertfleet] metrics written to %s (%s)\n",
             args.metrics_out.c_str(), args.metrics_format.c_str());
     }
@@ -446,11 +388,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // fatal() has already printed the diagnostic through the log
-    // sink; a bad flag or config must exit non-zero, not abort.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1;
-    }
+    return runCli(run, argc, argv);
 }

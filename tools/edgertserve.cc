@@ -14,13 +14,13 @@
  *               --no-admission --dump-trace=serve_trace.json
  */
 
-#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cliflags.hh"
+#include "common/fileio.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "deploy/hotswap.hh"
@@ -33,40 +33,6 @@ using namespace edgert;
 
 namespace {
 
-/** Progress chatter ("[edgertserve] ..."); silenced by --quiet. */
-void
-say(const char *fmt, ...)
-{
-    if (logLevel() > LogLevel::kInfo)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::vprintf(fmt, ap);
-    va_end(ap);
-}
-
-/** Parse a numeric --model option value or fatal() with the
- *  offending key=value pair (never an uncaught std::sto* throw). */
-double
-modelNumber(const std::string &k, const std::string &v)
-{
-    auto r = parseDouble(v);
-    if (!r.ok())
-        fatal("bad --model option '", k, "=", v,
-              "': ", r.status().message());
-    return *r;
-}
-
-int
-modelInt(const std::string &k, const std::string &v)
-{
-    auto r = parseInt64(v);
-    if (!r.ok())
-        fatal("bad --model option '", k, "=", v,
-              "': ", r.status().message());
-    return static_cast<int>(*r);
-}
-
 /**
  * Parse one --model spec:
  *   <zoo-name>[@fp16|@int8|@mixed]
@@ -76,51 +42,37 @@ modelInt(const std::string &k, const std::string &v)
  *            [:calib_seed=..]
  */
 serve::ModelConfig
-parseModelSpec(const std::string &spec)
+parseModelSpec(const std::string &text)
 {
-    auto parts = split(spec, ':');
-    if (parts.empty() || parts[0].empty())
-        fatal("empty --model spec");
+    ModelSpec spec("--model", text);
     serve::ModelConfig mc;
-    mc.model = parts[0];
-    auto at = mc.model.find('@');
-    if (at != std::string::npos) {
-        mc.precision =
-            nn::parsePrecisionName(mc.model.substr(at + 1));
-        mc.model.resize(at);
-        if (mc.model.empty())
-            fatal("empty model name in --model spec '", spec, "'");
-    }
-    for (std::size_t i = 1; i < parts.size(); i++) {
-        auto eq = parts[i].find('=');
-        if (eq == std::string::npos)
-            fatal("bad --model option '", parts[i],
-                  "' (expected key=value)");
-        std::string k = parts[i].substr(0, eq);
-        std::string v = parts[i].substr(eq + 1);
+    mc.model = spec.model;
+    if (!spec.precision.empty())
+        mc.precision = nn::parsePrecisionName(spec.precision);
+    for (const auto &[k, v] : spec.options) {
         if (k == "qps")
-            mc.arrivals.qps = modelNumber(k, v);
+            mc.arrivals.qps = spec.number(k, v);
         else if (k == "slo_ms")
-            mc.slo_ms = modelNumber(k, v);
+            mc.slo_ms = spec.number(k, v);
         else if (k == "arrival")
             mc.arrivals.kind = serve::parseArrivalKind(v);
         else if (k == "max_batch")
-            mc.batching.max_batch = modelInt(k, v);
+            mc.batching.max_batch = spec.integer(k, v);
         else if (k == "timeout_us")
-            mc.batching.timeout_us = modelNumber(k, v);
+            mc.batching.timeout_us = spec.number(k, v);
         else if (k == "instances")
-            mc.instances_per_device = modelInt(k, v);
+            mc.instances_per_device = spec.integer(k, v);
         else if (k == "burst_factor")
-            mc.arrivals.burst_factor = modelNumber(k, v);
+            mc.arrivals.burst_factor = spec.number(k, v);
         else if (k == "period_s")
-            mc.arrivals.period_s = modelNumber(k, v);
+            mc.arrivals.period_s = spec.number(k, v);
         else if (k == "duty")
-            mc.arrivals.duty = modelNumber(k, v);
+            mc.arrivals.duty = spec.number(k, v);
         else if (k == "calib_seed")
             mc.calibration_seed =
-                static_cast<std::uint64_t>(modelInt(k, v));
+                static_cast<std::uint64_t>(spec.integer(k, v));
         else
-            fatal("unknown --model option '", k, "'");
+            spec.unknown(k);
     }
     return mc;
 }
@@ -283,13 +235,9 @@ parse(int argc, char **argv)
         else if (flags.is("--fail-swap-load"))
             parseFailSpec("--fail-swap-load", flags.value(),
                           a.cfg.faults.swap_load_failures);
-        else if (flags.is("--load-attempts")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --load-attempts: must be at least 1");
-            a.cfg.faults.max_load_attempts = static_cast<int>(n);
-        } else if (flags.is("--repo"))
+        else if (flags.is("--load-attempts"))
+            a.cfg.faults.max_load_attempts = flags.positiveValue();
+        else if (flags.is("--repo"))
             a.repo = flags.value();
         else if (flags.is("--rebuild-at"))
             a.rebuild_at_s = flags.numberValue();
@@ -301,42 +249,26 @@ parse(int argc, char **argv)
             a.rebuild_calib_seed = flags.unsignedValue();
         else if (flags.is("--drift-gate-pct"))
             a.drift_gate_pct = flags.numberValue();
-        else if (flags.is("--sim-threads")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --sim-threads: must be at least 1");
-            a.cfg.sim_threads = static_cast<int>(n);
-        } else if (flags.is("--sim-metrics"))
+        else if (flags.is("--sim-threads"))
+            a.cfg.sim_threads = flags.positiveValue();
+        else if (flags.is("--sim-metrics"))
             a.cfg.sim_metrics = true;
         else if (flags.is("--trace-mode")) {
-            std::string m = flags.value();
-            if (m == "full")
-                a.cfg.trace_mode = gpusim::TraceMode::kFull;
-            else if (m == "sampled")
-                a.cfg.trace_mode = gpusim::TraceMode::kSampled;
-            else if (m == "off")
-                a.cfg.trace_mode = gpusim::TraceMode::kOff;
-            else
-                fatal("invalid value '", m, "' for --trace-mode: "
-                      "expected full|sampled|off");
-        } else if (flags.is("--trace-sample")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --trace-sample: must be at least 1");
-            a.cfg.trace_sample_every = static_cast<int>(n);
-        } else if (flags.is("--report-out"))
+            std::string m =
+                flags.choiceValue({"full", "sampled", "off"});
+            a.cfg.trace_mode =
+                m == "full"      ? gpusim::TraceMode::kFull
+                : m == "sampled" ? gpusim::TraceMode::kSampled
+                                 : gpusim::TraceMode::kOff;
+        } else if (flags.is("--trace-sample"))
+            a.cfg.trace_sample_every = flags.positiveValue();
+        else if (flags.is("--report-out"))
             a.report_out = flags.value();
         else if (flags.is("--metrics-out"))
             a.metrics_out = flags.value();
-        else if (flags.is("--metrics-format")) {
-            a.metrics_format = flags.value();
-            if (a.metrics_format != "json" &&
-                a.metrics_format != "prom")
-                fatal("invalid value '", a.metrics_format,
-                      "' for --metrics-format: expected json|prom");
-        } else if (flags.is("--watch-out")) {
+        else if (flags.is("--metrics-format"))
+            a.metrics_format = flags.choiceValue({"json", "prom"});
+        else if (flags.is("--watch-out")) {
             std::string f = flags.value();
             a.cfg.watch.enabled = true;
             a.cfg.watch.out_path = f;
@@ -353,15 +285,9 @@ parse(int argc, char **argv)
                 fatal("invalid value '", pct,
                       "' for --slo-alert-pct: must be in (0, 100)");
             a.cfg.watch.slo_objective_pct = pct;
-        } else if (flags.is("--flight-recorder-depth")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --flight-recorder-depth: must be at "
-                      "least 1");
-            a.cfg.watch.flight_recorder_depth =
-                static_cast<int>(n);
-        } else if (flags.is("--dump-trace")) {
+        } else if (flags.is("--flight-recorder-depth"))
+            a.cfg.watch.flight_recorder_depth = flags.positiveValue();
+        else if (flags.is("--dump-trace")) {
             a.cfg.trace_out = flags.value();
             obs::Tracer::global().setEnabled(true);
         } else if (flags.is("--quiet"))
@@ -487,12 +413,7 @@ run(int argc, char **argv)
                 (1024.0 * 1024.0));
 
     if (!args.report_out.empty()) {
-        std::FILE *f = std::fopen(args.report_out.c_str(), "w");
-        if (!f)
-            fatal("cannot write '", args.report_out, "'");
-        std::string json = report.toJson();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
+        writeFileChecked(args.report_out, report.toJson());
         say("[edgertserve] report written to %s\n",
             args.report_out.c_str());
     }
@@ -510,11 +431,8 @@ run(int argc, char **argv)
                 report.watch.first_page_s);
     }
     if (!args.metrics_out.empty()) {
-        if (args.metrics_format == "prom")
-            obs::MetricRegistry::global().savePromText(
-                args.metrics_out);
-        else
-            obs::MetricRegistry::global().save(args.metrics_out);
+        obs::MetricRegistry::global().saveAs(args.metrics_out,
+                                             args.metrics_format);
         say("[edgertserve] metrics written to %s (%s)\n",
             args.metrics_out.c_str(), args.metrics_format.c_str());
     }
@@ -530,11 +448,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // fatal() has already printed the diagnostic through the log
-    // sink; a bad flag or config must exit non-zero, not abort.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1;
-    }
+    return runCli(run, argc, argv);
 }

@@ -15,13 +15,13 @@
  *                --metrics-out=metrics.prom
  */
 
-#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cliflags.hh"
+#include "common/fileio.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "nn/model_zoo.hh"
@@ -33,38 +33,6 @@
 using namespace edgert;
 
 namespace {
-
-/** Progress chatter ("[edgertstream] ..."); silenced by --quiet. */
-void
-say(const char *fmt, ...)
-{
-    if (logLevel() > LogLevel::kInfo)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::vprintf(fmt, ap);
-    va_end(ap);
-}
-
-double
-modelNumber(const std::string &k, const std::string &v)
-{
-    auto r = parseDouble(v);
-    if (!r.ok())
-        fatal("bad --model option '", k, "=", v,
-              "': ", r.status().message());
-    return *r;
-}
-
-int
-modelInt(const std::string &k, const std::string &v)
-{
-    auto r = parseInt64(v);
-    if (!r.ok())
-        fatal("bad --model option '", k, "=", v,
-              "': ", r.status().message());
-    return static_cast<int>(*r);
-}
 
 /**
  * Parse one --model spec:
@@ -78,62 +46,48 @@ modelInt(const std::string &k, const std::string &v)
  * which are applied by the caller before the overrides land here.
  */
 stream::StreamModelConfig
-parseModelSpec(const std::string &spec,
+parseModelSpec(const std::string &text,
                const stream::StreamModelConfig &defaults)
 {
-    auto parts = split(spec, ':');
-    if (parts.empty() || parts[0].empty())
-        fatal("empty --model spec");
+    ModelSpec spec("--model", text);
     stream::StreamModelConfig mc = defaults;
-    mc.model = parts[0];
-    auto at = mc.model.find('@');
-    if (at != std::string::npos) {
-        mc.precision =
-            nn::parsePrecisionName(mc.model.substr(at + 1));
-        mc.model.resize(at);
-        if (mc.model.empty())
-            fatal("empty model name in --model spec '", spec, "'");
-    }
-    for (std::size_t i = 1; i < parts.size(); i++) {
-        auto eq = parts[i].find('=');
-        if (eq == std::string::npos)
-            fatal("bad --model option '", parts[i],
-                  "' (expected key=value)");
-        std::string k = parts[i].substr(0, eq);
-        std::string v = parts[i].substr(eq + 1);
+    mc.model = spec.model;
+    if (!spec.precision.empty())
+        mc.precision = nn::parsePrecisionName(spec.precision);
+    for (const auto &[k, v] : spec.options) {
         if (k == "streams")
-            mc.streams = modelInt(k, v);
+            mc.streams = spec.integer(k, v);
         else if (k == "fps")
-            mc.fps = modelNumber(k, v);
+            mc.fps = spec.number(k, v);
         else if (k == "policy")
             mc.policy = stream::parseBackpressurePolicy(v);
         else if (k == "budget")
-            mc.frame_budget = modelInt(k, v);
+            mc.frame_budget = spec.integer(k, v);
         else if (k == "stale_ms")
-            mc.stale_ms = modelNumber(k, v);
+            mc.stale_ms = spec.number(k, v);
         else if (k == "arrival")
             mc.arrival = stream::parseFrameArrival(v);
         else if (k == "jitter_pct")
-            mc.arrival_jitter_pct = modelNumber(k, v);
+            mc.arrival_jitter_pct = spec.number(k, v);
         else if (k == "max_batch")
-            mc.batching.max_batch = modelInt(k, v);
+            mc.batching.max_batch = spec.integer(k, v);
         else if (k == "timeout_us")
-            mc.batching.timeout_us = modelNumber(k, v);
+            mc.batching.timeout_us = spec.number(k, v);
         else if (k == "instances")
-            mc.instances_per_device = modelInt(k, v);
+            mc.instances_per_device = spec.integer(k, v);
         else if (k == "decode_ms")
-            mc.stages.decode_ms = modelNumber(k, v);
+            mc.stages.decode_ms = spec.number(k, v);
         else if (k == "preprocess_ms")
-            mc.stages.preprocess_ms = modelNumber(k, v);
+            mc.stages.preprocess_ms = spec.number(k, v);
         else if (k == "postprocess_ms")
-            mc.stages.postprocess_ms = modelNumber(k, v);
+            mc.stages.postprocess_ms = spec.number(k, v);
         else if (k == "stage_jitter_pct")
-            mc.stages.jitter_pct = modelNumber(k, v);
+            mc.stages.jitter_pct = spec.number(k, v);
         else if (k == "calib_seed")
             mc.calibration_seed =
-                static_cast<std::uint64_t>(modelInt(k, v));
+                static_cast<std::uint64_t>(spec.integer(k, v));
         else
-            fatal("unknown --model option '", k, "'");
+            spec.unknown(k);
     }
     return mc;
 }
@@ -220,13 +174,9 @@ parse(int argc, char **argv)
     while (flags.next()) {
         if (flags.is("--model"))
             model_specs.push_back(flags.value());
-        else if (flags.is("--streams")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --streams: must be at least 1");
-            defaults.streams = static_cast<int>(n);
-        } else if (flags.is("--fps"))
+        else if (flags.is("--streams"))
+            defaults.streams = flags.positiveValue();
+        else if (flags.is("--fps"))
             defaults.fps = flags.numberValue();
         else if (flags.is("--policy"))
             defaults.policy =
@@ -239,40 +189,24 @@ parse(int argc, char **argv)
             a.cfg.seed = flags.unsignedValue();
         else if (flags.is("--ram-fraction"))
             a.cfg.ram_fraction = flags.numberValue();
-        else if (flags.is("--sim-threads")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --sim-threads: must be at least 1");
-            a.cfg.sim_threads = static_cast<int>(n);
-        } else if (flags.is("--trace-mode")) {
-            std::string m = flags.value();
-            if (m == "full")
-                a.cfg.trace_mode = gpusim::TraceMode::kFull;
-            else if (m == "sampled")
-                a.cfg.trace_mode = gpusim::TraceMode::kSampled;
-            else if (m == "off")
-                a.cfg.trace_mode = gpusim::TraceMode::kOff;
-            else
-                fatal("invalid value '", m, "' for --trace-mode: "
-                      "expected full|sampled|off");
-        } else if (flags.is("--trace-sample")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --trace-sample: must be at least 1");
-            a.cfg.trace_sample_every = static_cast<int>(n);
-        } else if (flags.is("--report-out"))
+        else if (flags.is("--sim-threads"))
+            a.cfg.sim_threads = flags.positiveValue();
+        else if (flags.is("--trace-mode")) {
+            std::string m =
+                flags.choiceValue({"full", "sampled", "off"});
+            a.cfg.trace_mode =
+                m == "full"      ? gpusim::TraceMode::kFull
+                : m == "sampled" ? gpusim::TraceMode::kSampled
+                                 : gpusim::TraceMode::kOff;
+        } else if (flags.is("--trace-sample"))
+            a.cfg.trace_sample_every = flags.positiveValue();
+        else if (flags.is("--report-out"))
             a.report_out = flags.value();
         else if (flags.is("--metrics-out"))
             a.metrics_out = flags.value();
-        else if (flags.is("--metrics-format")) {
-            a.metrics_format = flags.value();
-            if (a.metrics_format != "json" &&
-                a.metrics_format != "prom")
-                fatal("invalid value '", a.metrics_format,
-                      "' for --metrics-format: expected json|prom");
-        } else if (flags.is("--watch-out")) {
+        else if (flags.is("--metrics-format"))
+            a.metrics_format = flags.choiceValue({"json", "prom"});
+        else if (flags.is("--watch-out")) {
             a.cfg.watch.enabled = true;
             a.cfg.watch.out_path = flags.value();
         } else if (flags.is("--stale-alert-pct")) {
@@ -376,21 +310,13 @@ run(int argc, char **argv)
             report.first_page_s);
 
     if (!args.report_out.empty()) {
-        std::FILE *f = std::fopen(args.report_out.c_str(), "w");
-        if (!f)
-            fatal("cannot write '", args.report_out, "'");
-        std::string json = report.toJson();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
+        writeFileChecked(args.report_out, report.toJson());
         say("[edgertstream] report written to %s\n",
             args.report_out.c_str());
     }
     if (!args.metrics_out.empty()) {
-        if (args.metrics_format == "prom")
-            obs::MetricRegistry::global().savePromText(
-                args.metrics_out);
-        else
-            obs::MetricRegistry::global().save(args.metrics_out);
+        obs::MetricRegistry::global().saveAs(args.metrics_out,
+                                             args.metrics_format);
         say("[edgertstream] metrics written to %s (%s)\n",
             args.metrics_out.c_str(), args.metrics_format.c_str());
     }
@@ -406,11 +332,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // fatal() has already printed the diagnostic through the log
-    // sink; a bad flag or config must exit non-zero, not abort.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1;
-    }
+    return runCli(run, argc, argv);
 }
