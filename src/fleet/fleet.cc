@@ -737,15 +737,15 @@ runFleet(const FleetConfig &cfg)
     // ------------------------------------------------------------
     // Phase 2 — execution replay, one node at a time: each task
     // builds its node's GpuSim over a private MetricRegistry,
-    // enqueues the node's plans, runs, folds measured completions
-    // back and destroys the simulator, so live op memory is one
-    // node's plan per replay thread. Nodes share nothing (each
-    // request sits in exactly one plan), so node replays
-    // parallelize and every simulator sees the same op sequence at
-    // any thread count; registries merge into the global one in
-    // node id order afterwards (byte-identical reports). Kernel
-    // traces stay off: a 500-node replay would otherwise retain
-    // every simulated launch record.
+    // replays the node's plans in windows (serve::replayPlans),
+    // folds measured completions back and destroys the simulator,
+    // so live op memory is one node's in-flight window per replay
+    // thread. Nodes share nothing (each request sits in exactly one
+    // plan), so node replays parallelize and every simulator sees
+    // the same op sequence at any thread count; registries merge
+    // into the global one in node id order afterwards
+    // (byte-identical reports). Kernel traces stay off: a 500-node
+    // replay would otherwise retain every simulated launch record.
     // ------------------------------------------------------------
     std::vector<std::unique_ptr<obs::MetricRegistry>> node_regs;
     {
@@ -769,17 +769,18 @@ runFleet(const FleetConfig &cfg)
             sim.setTraceMode(gpusim::TraceMode::kOff);
 
             int c = fleet.nodes[node].dev_class;
+            std::vector<serve::PlanSource> sources;
             for (std::size_t i : node_insts[node])
-                serve::enqueuePlan(
-                    sim, instances[i],
-                    versions[static_cast<std::size_t>(
-                        instances[i].model)],
-                    c, instances[i].stream, instances[i].stream,
-                    [](runtime::ExecutionContext &ctx) {
-                        return ctx.enqueueInference(true, true,
-                                                    /*staged=*/true);
-                    });
-            sim.run();
+                sources.push_back(
+                    {&instances[i],
+                     &versions[static_cast<std::size_t>(
+                         instances[i].model)],
+                     c, instances[i].stream,
+                     [](runtime::ExecutionContext &ctx) {
+                         return ctx.enqueueInference(
+                             true, true, /*staged=*/true);
+                     }});
+            serve::replayPlans(sim, sources);
 
             // Fold measured completions back (instance order, then
             // plan order).

@@ -761,7 +761,7 @@ GpuSim::completeFinished()
 }
 
 bool
-GpuSim::step()
+GpuSim::step(double horizon)
 {
     admitReady();
     // The water-fill is a pure function of the executing set, so it
@@ -785,6 +785,11 @@ GpuSim::step()
     double dt = nextEventDt();
     if (!std::isfinite(dt))
         panic("GpuSim: no next event while ops active");
+    // Stop short of the horizon after admission and the share
+    // recompute: both are idempotent, so the resumed step recomputes
+    // this same dt and the event sequence matches an unpaused run.
+    if (!(now_ + dt < horizon))
+        return false;
     advance(dt);
     completeFinished();
     // Resolve markers that became ready at this timestamp, so
@@ -806,7 +811,14 @@ GpuSim::run()
                        backlog / static_cast<std::size_t>(
                                      trace_sample_) +
                        1);
-    while (step()) {
+    while (step(std::numeric_limits<double>::infinity())) {
+    }
+}
+
+void
+GpuSim::runUntil(double horizon)
+{
+    while (step(horizon)) {
     }
 }
 
@@ -814,7 +826,7 @@ void
 GpuSim::runUntilEvent(EventId id)
 {
     while (event_times_.at(static_cast<std::size_t>(id)) < 0.0) {
-        if (!step())
+        if (!step(std::numeric_limits<double>::infinity()))
             fatal("runUntilEvent: simulation drained before event ",
                   id, " completed");
     }

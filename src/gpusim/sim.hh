@@ -199,6 +199,18 @@ class GpuSim
     /** Run the simulation until every queue is empty. */
     void run();
 
+    /**
+     * Step while the next event lands strictly before @p horizon,
+     * then return with the clock still short of it (or when every
+     * queue is empty). A later run() or runUntil() resumes with the
+     * same event sequence an unpaused run() would have, provided
+     * ops enqueued in between only join streams that are busy at
+     * the pause — a windowed replay keeps every stream with future
+     * work parked behind a release at or after the horizon. Unlike
+     * run(), it does not pre-size the trace.
+     */
+    void runUntil(double horizon);
+
     /** Run until the given event has completed (fatal on deadlock). */
     void runUntilEvent(EventId id);
 
@@ -370,8 +382,9 @@ class GpuSim
         }
     };
 
-    /** One simulation step; returns false when fully idle. */
-    bool step();
+    /** One simulation step; returns false when fully idle or when
+     *  the next event would land at or after @p horizon. */
+    bool step(double horizon);
 
     std::int32_t acquireOp(OpKind kind);
     void pushOp(int stream, std::int32_t op_idx);

@@ -624,28 +624,31 @@ runServer(const ServeConfig &cfg)
 
     // ------------------------------------------------------------
     // Phase 2 — execution replay: every dispatch released at its
-    // planned time via delayUntil(), one run() per device (serially
-    // or on a worker pool, byte-identical either way). Measured
-    // completions, not predictions, feed all reported statistics.
+    // planned time via delayUntil(), each device replayed in
+    // windows (serially or on a worker pool, byte-identical either
+    // way). Measured completions, not predictions, feed all
+    // reported statistics.
     // ------------------------------------------------------------
+    std::vector<std::vector<PlanSource>> sources(
+        static_cast<std::size_t>(n_devices));
     for (Instance &inst : pool.instances())
         // Staged: record upload/compute boundary events so EdgeWatch
         // can attribute per-request latency. The markers are
         // timing-neutral, and serving always stages so the replay's
         // event stream (and report bytes) never depend on whether
         // watch is enabled.
-        enqueuePlan(*sims[static_cast<std::size_t>(inst.device)], inst,
-                    versions[static_cast<std::size_t>(inst.model)],
-                    inst.device, inst.stream, inst.stream,
-                    [](runtime::ExecutionContext &ctx) {
-                        return ctx.enqueueInference(true, true,
-                                                    /*staged=*/true);
-                    });
+        sources[static_cast<std::size_t>(inst.device)].push_back(
+            {&inst, &versions[static_cast<std::size_t>(inst.model)],
+             inst.device, inst.stream,
+             [](runtime::ExecutionContext &ctx) {
+                 return ctx.enqueueInference(true, true,
+                                             /*staged=*/true);
+             }});
     std::vector<double> replay_wall_s;
     std::optional<PoolStats> ps =
-        runDevices(sims, cfg.devices, cfg.sim_threads, cfg.trace_mode,
-                   cfg.trace_sample_every, "serve_replay",
-                   &replay_wall_s);
+        runDevices(sims, sources, cfg.devices, cfg.sim_threads,
+                   cfg.trace_mode, cfg.trace_sample_every,
+                   "serve_replay", &replay_wall_s);
     if (cfg.sim_metrics) {
         if (ps) {
             const obs::Labels pl = {{"scope", "serve_replay"}};

@@ -104,32 +104,57 @@ EngineVersion::available() const
 }
 
 void
-enqueuePlan(gpusim::GpuSim &sim, Instance &inst,
-            const std::vector<EngineVersion> &versions, int target,
-            int release_stream, int ctx_stream, const IssueFn &issue)
+replayPlans(gpusim::GpuSim &sim, const std::vector<PlanSource> &sources)
 {
-    std::map<std::pair<int, int>,
-             std::unique_ptr<runtime::ExecutionContext>>
-        ctxs;
-    for (auto &pd : inst.plan) {
-        sim.delayUntil(release_stream, pd.t_s);
-        auto &ctx = ctxs[{pd.version, pd.engine_idx}];
+    struct Cursor
+    {
+        std::size_t next = 0; //!< first plan entry not yet enqueued
+        std::map<std::pair<int, int>,
+                 std::unique_ptr<runtime::ExecutionContext>>
+            ctxs;
+    };
+    std::vector<Cursor> cursors(sources.size());
+    auto enqueue = [&](std::size_t s) {
+        const PlanSource &src = sources[s];
+        Cursor &c = cursors[s];
+        PlannedDispatch &pd = src.inst->plan[c.next++];
+        sim.delayUntil(src.inst->stream, pd.t_s);
+        auto &ctx = c.ctxs[{pd.version, pd.engine_idx}];
         if (!ctx)
             ctx = std::make_unique<runtime::ExecutionContext>(
-                versions[static_cast<std::size_t>(pd.version)]
-                    .sets[static_cast<std::size_t>(target)]
+                (*src.versions)[static_cast<std::size_t>(pd.version)]
+                    .sets[static_cast<std::size_t>(src.target)]
                     .engines[static_cast<std::size_t>(pd.engine_idx)],
-                sim, ctx_stream);
-        runtime::InferenceHandle h = issue(*ctx);
+                sim, src.ctx_stream);
+        runtime::InferenceHandle h = src.issue(*ctx);
         pd.begin = h.begin;
         pd.upload_done = h.upload_done;
         pd.compute_done = h.compute_done;
         pd.end = h.end;
+    };
+    for (double horizon = kReplayWindowS;; horizon += kReplayWindowS) {
+        bool more = false;
+        for (std::size_t s = 0; s < sources.size(); s++) {
+            const auto &plan = sources[s].inst->plan;
+            Cursor &c = cursors[s];
+            // Enqueue until the last enqueued release is at or past
+            // the horizon: that dispatch keeps the source's streams
+            // busy through the pause.
+            while (c.next < plan.size() &&
+                   (c.next == 0 || plan[c.next - 1].t_s < horizon))
+                enqueue(s);
+            more = more || c.next < plan.size();
+        }
+        if (!more)
+            break;
+        sim.runUntil(horizon);
     }
+    sim.run();
 }
 
 std::optional<PoolStats>
 runDevices(const DeviceSims &sims,
+           const std::vector<std::vector<PlanSource>> &sources,
            const std::vector<gpusim::DeviceSpec> &devices,
            int sim_threads, gpusim::TraceMode trace_mode,
            int trace_sample_every, const std::string &span,
@@ -140,11 +165,11 @@ runDevices(const DeviceSims &sims,
         sim->setTraceMode(trace_mode, trace_sample_every);
     auto runDevice = [&](std::size_t d) {
         if (!wall_s) {
-            sims[d]->run();
+            replayPlans(*sims[d], sources[d]);
             return;
         }
         std::uint64_t t0 = obs::clock().nowNanos();
-        sims[d]->run();
+        replayPlans(*sims[d], sources[d]);
         (*wall_s)[d] =
             static_cast<double>(obs::clock().nowNanos() - t0) * 1e-9;
     };

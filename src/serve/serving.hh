@@ -9,10 +9,10 @@
  * instance's dispatches on BSP-predicted service times, then a GpuSim
  * replay of those plans — and share the mechanisms here: the control
  * queue, the calibrated engine-ladder build, the request table, the
- * plan replay and the per-device report. Policy stays with each
- * caller: admission, routing and quarantine, hot-swap versus staged
- * rollout, backpressure, the instance pick, fleet placement and every
- * report's own JSON shape.
+ * windowed plan replay and the per-device report. Policy stays with
+ * each caller: admission, routing and quarantine, hot-swap versus
+ * staged rollout, backpressure, the instance pick, fleet placement
+ * and every report's own JSON shape.
  */
 
 #include <algorithm>
@@ -176,36 +176,61 @@ using IssueFn =
     std::function<runtime::InferenceHandle(runtime::ExecutionContext &)>;
 
 /**
- * Enqueue instance `inst`'s dispatch plan on `sim`. Each dispatch is
- * released at its planned time on `release_stream` (delayUntil) and
- * issued by `issue` through an ExecutionContext bound to
- * `ctx_stream`, created on first use per (version, engine): through
- * a hot-swap, batches planned on the incumbent drain on its contexts
- * while new batches run on the candidate's. The engines are
- * `versions[pd.version].sets[target]`. Contexts live only for the
- * enqueue; the simulator's ops reference engine-owned kernel
- * descriptors.
+ * One instance's dispatch plan as the replay issues it. Each
+ * dispatch is released at its planned time on `inst->stream`
+ * (delayUntil) and issued by `issue` through an ExecutionContext
+ * bound to `ctx_stream`, created on first use per (version, engine)
+ * and kept for the whole replay: through a hot-swap, batches planned
+ * on the incumbent drain on its contexts while new batches run on
+ * the candidate's. The engines are `(*versions)[pd.version]
+ * .sets[target]`; the simulator's ops point at their kernel
+ * descriptors. The replay writes each dispatch's events into the
+ * plan.
  */
-void enqueuePlan(gpusim::GpuSim &sim, Instance &inst,
-                 const std::vector<EngineVersion> &versions, int target,
-                 int release_stream, int ctx_stream,
-                 const IssueFn &issue);
+struct PlanSource
+{
+    Instance *inst = nullptr;
+    const std::vector<EngineVersion> *versions = nullptr;
+    int target = 0;
+    int ctx_stream = 0;
+    IssueFn issue;
+};
+
+/** Simulated seconds between the windowed replay's horizons. */
+inline constexpr double kReplayWindowS = 1.0;
+
+/**
+ * Replay `sources` on `sim` one window at a time, so live ops stay
+ * O(in flight) rather than O(simulated duration). Each window
+ * enqueues, per source, every dispatch released before the horizon
+ * plus the first one at or after it, then runs the simulator up to
+ * the horizon; the last window drains with run(). Because every
+ * source with future work keeps a dispatch enqueued beyond the
+ * horizon, each of its streams is busy when the simulator pauses,
+ * so later enqueues never change admission order, delay tie-breaks
+ * or any op's start time: the result is the one an
+ * enqueue-everything-then-run() replay produces, bit for bit.
+ */
+void replayPlans(gpusim::GpuSim &sim,
+                 const std::vector<PlanSource> &sources);
 
 /** One simulator per device, in device order. */
 using DeviceSims = std::vector<std::unique_ptr<gpusim::GpuSim>>;
 
 /**
- * Run every device's simulator under the trace policy. With one
- * thread the devices replay serially in index order, each inside a
- * `span` labelled with its device; with more they run concurrently
- * on a ThreadPool inside one `span`, each simulator buffering its
- * histogram records and committing them in device order afterwards,
- * so reports, metric snapshots and traces are byte-identical at any
- * thread count. `wall_s`, when given, receives each device's replay
- * wall time. Returns the pool's stats when a pool ran.
+ * Replay every device's plan sources (`sources[d]` on `sims[d]`)
+ * under the trace policy. With one thread the devices replay
+ * serially in index order, each inside a `span` labelled with its
+ * device; with more they run concurrently on a ThreadPool inside
+ * one `span`, each simulator buffering its histogram records and
+ * committing them in device order afterwards, so reports, metric
+ * snapshots and traces are byte-identical at any thread count.
+ * `wall_s`, when given, receives each device's replay wall time
+ * (enqueue included). Returns the pool's stats when a pool ran.
  */
 std::optional<PoolStats>
 runDevices(const DeviceSims &sims,
+           const std::vector<std::vector<PlanSource>> &sources,
            const std::vector<gpusim::DeviceSpec> &devices,
            int sim_threads, gpusim::TraceMode trace_mode,
            int trace_sample_every, const std::string &span,

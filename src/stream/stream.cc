@@ -423,22 +423,24 @@ runStreams(const StreamConfig &cfg)
     // Phase 2 — execution replay: each dispatch releases on its
     // instance's *upload* stream at the planned time; waitEvent
     // chains upload → compute → download so consecutive frames
-    // overlap stage-wise. One run() per device; histogram records
-    // defer and commit in device index order under sim_threads > 1
-    // so every observable stays byte-identical to serial.
+    // overlap stage-wise. Each device replays in windows; histogram
+    // records defer and commit in device index order under
+    // sim_threads > 1 so every observable stays byte-identical to
+    // serial.
     // ------------------------------------------------------------
+    std::vector<std::vector<serve::PlanSource>> sources(
+        static_cast<std::size_t>(n_devices));
     for (std::size_t i = 0; i < pool.instances().size(); i++) {
         serve::Instance &inst = pool.instances()[i];
-        serve::enqueuePlan(
-            *sims[static_cast<std::size_t>(inst.device)], inst,
-            versions[static_cast<std::size_t>(inst.model)], inst.device,
-            up_stream[i], comp_stream[i],
-            [&](runtime::ExecutionContext &ctx) {
-                return ctx.enqueueStagedPipelined(up_stream[i],
-                                                  down_stream[i]);
-            });
+        sources[static_cast<std::size_t>(inst.device)].push_back(
+            {&inst, &versions[static_cast<std::size_t>(inst.model)],
+             inst.device, comp_stream[i],
+             [up = up_stream[i],
+              down = down_stream[i]](runtime::ExecutionContext &ctx) {
+                 return ctx.enqueueStagedPipelined(up, down);
+             }});
     }
-    serve::runDevices(sims, cfg.devices, cfg.sim_threads,
+    serve::runDevices(sims, sources, cfg.devices, cfg.sim_threads,
                       cfg.trace_mode, cfg.trace_sample_every,
                       "stream_replay");
 

@@ -22,14 +22,22 @@ AnomalyDetector::AnomalyDetector(
 }
 
 double
-AnomalyDetector::medianOf(const Series &s) const
+AnomalyDetector::medianOf(Series &s)
 {
+    if (s.median_valid)
+        return s.median;
+    // Order statistics by selection: the same doubles a full sort
+    // would put at n/2 (and n/2 - 1), so the median is bit-identical.
     scratch_ = s.ring;
-    std::sort(scratch_.begin(), scratch_.end());
     std::size_t n = scratch_.size();
-    if (n % 2 == 1)
-        return scratch_[n / 2];
-    return 0.5 * (scratch_[n / 2 - 1] + scratch_[n / 2]);
+    auto mid = scratch_.begin() + static_cast<std::ptrdiff_t>(n / 2);
+    std::nth_element(scratch_.begin(), mid, scratch_.end());
+    s.median = *mid;
+    if (n % 2 == 0)
+        s.median =
+            0.5 * (*std::max_element(scratch_.begin(), mid) + *mid);
+    s.median_valid = true;
+    return s.median;
 }
 
 std::optional<AnomalyFinding>
@@ -49,6 +57,7 @@ AnomalyDetector::observe(double t_s, const std::string &model,
         s.ring[static_cast<std::size_t>(
             s.count % cfg_.window)] = latency_ms;
     s.count++;
+    s.median_valid = false;
     if (s.count < cfg_.min_samples)
         return std::nullopt;
 

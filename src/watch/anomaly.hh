@@ -84,9 +84,12 @@ class AnomalyDetector
     {
         std::vector<double> ring; //!< last `window` latencies
         std::int64_t count = 0;
+        double median = 0.0;       //!< of `ring`, when valid
+        bool median_valid = false; //!< cleared by every new sample
     };
 
-    double medianOf(const Series &s) const;
+    /** The ring's median, recomputed only after the series changed. */
+    double medianOf(Series &s);
 
     Config cfg_;
     std::vector<std::string> names_;
@@ -95,7 +98,7 @@ class AnomalyDetector
     std::map<std::pair<std::string, std::pair<int, int>>, bool>
         flagged_;
     std::vector<AnomalyFinding> findings_;
-    mutable std::vector<double> scratch_; //!< medianOf sort buffer
+    std::vector<double> scratch_; //!< medianOf selection buffer
 };
 
 } // namespace edgert::watch

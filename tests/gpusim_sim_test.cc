@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -495,6 +498,206 @@ TEST(GpuSim, SharedDescriptorSurvivesSlotRecycling)
     EXPECT_EQ(tr[3].name, other.name);
     EXPECT_EQ(tr[3].kernel.grid_blocks, other.grid_blocks);
     EXPECT_GE(tr[3].start_s, first_end);
+}
+
+// ------------------------------------------------------------------
+// Windowed replay: enqueueing a release plan window by window with
+// runUntil() must reproduce enqueue-everything-then-run() exactly,
+// as long as every source keeps one release at or past the horizon
+// enqueued (the serving replay's invariant).
+// ------------------------------------------------------------------
+
+/** One source: its release times and what each release enqueues
+ *  (the delayUntil first), recording its events in order. */
+struct ReplaySource
+{
+    std::vector<double> releases;
+    std::function<void(GpuSim &, double, std::vector<EventId> &)>
+        issue;
+};
+
+/** What a replay left behind, with event ids mapped to source order
+ *  (ids differ between the two enqueue orders; times must not). */
+struct ReplayOutcome
+{
+    std::vector<OpRecord> trace;
+    std::vector<std::vector<double>> event_s; //!< [source][k]
+    std::uint64_t ops_completed = 0;
+    UtilStats stats;
+    double now_s = 0.0;
+};
+
+/** Replay `sources` on a fresh simulator made by `make`, enqueueing
+ *  everything up front (window <= 0) or window by window. */
+ReplayOutcome
+replay(const std::function<std::unique_ptr<GpuSim>()> &make,
+       const std::vector<ReplaySource> &sources, double window)
+{
+    std::unique_ptr<GpuSim> sim = make();
+    std::vector<std::vector<EventId>> ids(sources.size());
+    std::vector<std::size_t> next(sources.size(), 0);
+    auto enqueueUntil = [&](double horizon) {
+        bool more = false;
+        for (std::size_t s = 0; s < sources.size(); s++) {
+            const auto &rel = sources[s].releases;
+            while (next[s] < rel.size() &&
+                   (next[s] == 0 || rel[next[s] - 1] < horizon)) {
+                sources[s].issue(*sim, rel[next[s]], ids[s]);
+                next[s]++;
+            }
+            more = more || next[s] < rel.size();
+        }
+        return more;
+    };
+    if (window <= 0.0) {
+        enqueueUntil(std::numeric_limits<double>::infinity());
+    } else {
+        for (double h = window; enqueueUntil(h); h += window)
+            sim->runUntil(h);
+    }
+    sim->run();
+
+    ReplayOutcome out;
+    out.trace = sim->trace();
+    for (const auto &per_source : ids) {
+        out.event_s.emplace_back();
+        for (EventId id : per_source)
+            out.event_s.back().push_back(sim->eventSeconds(id));
+    }
+    out.ops_completed = sim->opsCompleted();
+    out.stats = sim->stats();
+    out.now_s = sim->nowSeconds();
+    return out;
+}
+
+void
+expectSameReplay(const ReplayOutcome &a, const ReplayOutcome &b)
+{
+    ASSERT_EQ(a.trace.size(), b.trace.size());
+    for (std::size_t i = 0; i < a.trace.size(); i++) {
+        SCOPED_TRACE("trace record " + std::to_string(i));
+        EXPECT_EQ(a.trace[i].kind, b.trace[i].kind);
+        EXPECT_EQ(a.trace[i].name, b.trace[i].name);
+        EXPECT_EQ(a.trace[i].stream, b.trace[i].stream);
+        EXPECT_EQ(a.trace[i].start_s, b.trace[i].start_s);
+        EXPECT_EQ(a.trace[i].end_s, b.trace[i].end_s);
+    }
+    EXPECT_EQ(a.event_s, b.event_s);
+    EXPECT_EQ(a.ops_completed, b.ops_completed);
+    EXPECT_EQ(a.stats.window_s, b.stats.window_s);
+    EXPECT_EQ(a.stats.sm_busy_integral, b.stats.sm_busy_integral);
+    EXPECT_EQ(a.stats.gpu_busy_s, b.stats.gpu_busy_s);
+    EXPECT_EQ(a.stats.copy_busy_s, b.stats.copy_busy_s);
+    EXPECT_EQ(a.stats.dram_bytes, b.stats.dram_bytes);
+    EXPECT_EQ(a.now_s, b.now_s);
+}
+
+/** Windows from one that cuts through every dispatch (far shorter
+ *  than any of them) to one longer than the whole replay. */
+const double kWindows[] = {20e-6, 137e-6, 1e-3, 3e-3, 3.3e-3, 1.0};
+
+TEST(GpuSimWindowed, TiedDelayReleasesMatchUpfrontRun)
+{
+    // Three streams release in pairs at the same instants. The
+    // first of a pair finds every stream idle, so three delays wait
+    // on one end time and the calendar's insertion seq (the order
+    // the streams went idle: 0, 2, 1) orders their retirement; the
+    // second queues behind a busy stream, so its release is past
+    // due when the stream reaches it.
+    auto make = [] {
+        auto sim = std::make_unique<GpuSim>(DeviceSpec::xavierNX());
+        sim->createStream();
+        sim->createStream(2.0);
+        return sim;
+    };
+    std::vector<ReplaySource> sources;
+    for (int s = 0; s < 3; s++) {
+        ReplaySource src;
+        for (int k = 0; k < 40; k++)
+            src.releases.push_back(3e-3 * (k / 2));
+        src.issue = [s](GpuSim &sim, double t,
+                        std::vector<EventId> &ev) {
+            sim.delayUntil(s, t);
+            ev.push_back(sim.recordEvent(s));
+            sim.memcpyH2D(s, 200'000, 1, "in");
+            sim.launchKernel(s, kernel(4 + 2 * s, 30'000'000,
+                                       8'000'000));
+            sim.launchKernel(s, kernel(8, 20'000'000));
+            ev.push_back(sim.recordEvent(s));
+        };
+        sources.push_back(src);
+    }
+    ReplayOutcome upfront = replay(make, sources, 0.0);
+    ASSERT_EQ(upfront.ops_completed, 3u * 40u * 4u);
+    for (double w : kWindows) {
+        SCOPED_TRACE("window " + std::to_string(w));
+        expectSameReplay(upfront, replay(make, sources, w));
+    }
+}
+
+TEST(GpuSimWindowed, WaitEventPipelineMatchesUpfrontRun)
+{
+    // Two instances of the upload -> compute -> download pipeline
+    // (enqueueStagedPipelined's shape): the compute and download
+    // streams park on waitEvent, so a pause must leave them parked
+    // on the dispatch beyond the horizon, not drained.
+    auto make = [] {
+        auto sim = std::make_unique<GpuSim>(DeviceSpec::xavierNX());
+        for (int i = 0; i < 5; i++)
+            sim->createStream();
+        return sim;
+    };
+    std::vector<ReplaySource> sources;
+    for (int inst = 0; inst < 2; inst++) {
+        ReplaySource src;
+        double t = 0.1e-3 * inst;
+        for (int k = 0; k < 30; k++) {
+            src.releases.push_back(t);
+            t += (k % 3 == 0 ? 0.2e-3 : 1.1e-3);
+        }
+        const int up = 3 * inst, comp = up + 1, down = up + 2;
+        src.issue = [=](GpuSim &sim, double rel,
+                        std::vector<EventId> &ev) {
+            sim.delayUntil(up, rel);
+            ev.push_back(sim.recordEvent(up));
+            sim.memcpyH2D(up, 600'000, 1, "input_h2d", true);
+            EventId uploaded = sim.recordEvent(up);
+            ev.push_back(uploaded);
+            sim.waitEvent(comp, uploaded);
+            sim.launchKernel(comp, kernel(6, 60'000'000, 4'000'000));
+            sim.launchKernel(comp, kernel(3, 25'000'000));
+            EventId computed = sim.recordEvent(comp);
+            ev.push_back(computed);
+            sim.waitEvent(down, computed);
+            sim.memcpyD2H(down, 100'000, 1, "output_d2h", true);
+            ev.push_back(sim.recordEvent(down));
+        };
+        sources.push_back(src);
+    }
+    ReplayOutcome upfront = replay(make, sources, 0.0);
+    int waits = 0;
+    for (const OpRecord &r : upfront.trace)
+        waits += r.kind == OpKind::kWaitEvent;
+    ASSERT_EQ(waits, 2 * 30 * 2);
+    for (double w : kWindows) {
+        SCOPED_TRACE("window " + std::to_string(w));
+        expectSameReplay(upfront, replay(make, sources, w));
+    }
+}
+
+TEST(GpuSimWindowed, RunUntilStopsShortOfTheHorizon)
+{
+    GpuSim sim(DeviceSpec::xavierNX());
+    sim.delayUntil(0, 2e-3);
+    sim.launchKernel(0, kernel(6, 100'000'000));
+    sim.runUntil(2e-3);
+    EXPECT_LT(sim.nowSeconds(), 2e-3);
+    EXPECT_EQ(sim.opsCompleted(), 0u);
+    sim.runUntil(2e-3); // idempotent at the same horizon
+    EXPECT_EQ(sim.opsCompleted(), 0u);
+    sim.run();
+    EXPECT_EQ(sim.opsCompleted(), 2u);
+    EXPECT_GT(sim.nowSeconds(), 2e-3);
 }
 
 /** Property sweep: makespan of N identical kernels across N streams

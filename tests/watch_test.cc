@@ -243,6 +243,56 @@ TEST(AnomalyDetector, ExpectedOrderingAndSmallSamplesStaySilent)
     }
 }
 
+TEST(AnomalyDetector, FindingMediansMatchSortedWindows)
+{
+    // Cached selection medians must equal a full sort of each
+    // device's last `window` samples, for odd and even windows, and
+    // a new sample must invalidate only its own series' median.
+    for (int window : {7, 8}) {
+        SCOPED_TRACE("window " + std::to_string(window));
+        AnomalyDetector::Config cfg;
+        cfg.window = window;
+        cfg.min_samples = 4;
+        AnomalyDetector det(cfg, {"weak", "strong"}, {10.0, 20.0});
+        std::vector<std::vector<double>> seen(2);
+        auto sortedMedian = [&](int d) {
+            const auto &v = seen[static_cast<std::size_t>(d)];
+            std::vector<double> w(
+                v.end() - std::min<std::ptrdiff_t>(
+                              window,
+                              static_cast<std::ptrdiff_t>(v.size())),
+                v.end());
+            std::sort(w.begin(), w.end());
+            std::size_t n = w.size();
+            return n % 2 ? w[n / 2] : 0.5 * (w[n / 2 - 1] + w[n / 2]);
+        };
+        std::uint64_t x = 12345;
+        auto uniform = [&x](double lo, double hi) {
+            x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+            return lo + (hi - lo) * static_cast<double>(x >> 11) /
+                            9007199254740992.0;
+        };
+        int findings = 0;
+        for (int i = 0; i < 60; i++) {
+            // The strong device starts faster, then degrades past
+            // the weak one: one inversion, late in the feed.
+            for (int d : {1, 0}) {
+                double lat = d == 0 ? uniform(5.0, 6.0)
+                             : i < 30 ? uniform(3.0, 4.0)
+                                      : uniform(5.0, 9.0);
+                seen[static_cast<std::size_t>(d)].push_back(lat);
+                auto f = det.observe(i * 0.01, "m", d, lat);
+                if (!f)
+                    continue;
+                findings++;
+                EXPECT_EQ(f->fast_median_ms, sortedMedian(0));
+                EXPECT_EQ(f->slow_median_ms, sortedMedian(1));
+            }
+        }
+        EXPECT_EQ(findings, 1);
+    }
+}
+
 /** Synthetic overload feed: pages, dumps an incident, and the whole
  *  artifact set is byte-deterministic. */
 void
