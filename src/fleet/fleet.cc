@@ -19,7 +19,6 @@
 #include "serve/batcher.hh"
 #include "serve/request.hh"
 #include "serve/scheduler.hh"
-#include "serve/server.hh"
 #include "serve/serving.hh"
 #include "watch/rollup.hh"
 
@@ -27,10 +26,11 @@ namespace edgert::fleet {
 
 namespace {
 
-/** Control-event kinds; the target is the model (arrival), the
- *  (node, model) slot (timeout), the instance (predicted-free), the
- *  node (fail, rejoin) or the rollout (stage, req = stage index). */
-enum EventKind { kArrival, kTimeout, kPredFree, kFail, kRejoin, kStage };
+/** Control-event kinds beside the dispatch loop's (whose timeout
+ *  target is the (node, model) slot); the target is the model
+ *  (arrival), the node (fail, rejoin) or the rollout (stage, req =
+ *  stage index). */
+enum EventKind { kArrival = serve::kRunnerEvent, kFail, kRejoin, kStage };
 
 /** Mutable per-rollout progress. */
 struct RolloutState
@@ -65,11 +65,7 @@ runFleet(const FleetConfig &cfg)
     if (cfg.remap_probes < 1)
         fatal("fleet remap_probes must be >= 1 (got ",
               cfg.remap_probes, ")");
-    for (std::size_t i = 0; i < cfg.models.size(); i++)
-        for (std::size_t j = i + 1; j < cfg.models.size(); j++)
-            if (cfg.models[i].model == cfg.models[j].model)
-                fatal("duplicate fleet model '", cfg.models[i].model,
-                      "'");
+    serve::requireUniqueModels(cfg.models);
 
     ResolvedFleet fleet = resolveFleet(cfg.groups);
     const int n_nodes = static_cast<int>(fleet.nodes.size());
@@ -198,48 +194,34 @@ runFleet(const FleetConfig &cfg)
             cfg.models[static_cast<std::size_t>(m)].nodes_pct);
     }
 
-    // Instances, node-major then model order; per-node RAM budget
-    // bounds how many contexts a node can actually host.
-    std::vector<serve::Instance> instances;
-    std::vector<std::vector<int>> insts_by_nm(
-        static_cast<std::size_t>(n_nodes) *
-        static_cast<std::size_t>(n_models));
+    // Instances, node-major then model order (a node is one device
+    // of the pool); each node's context RAM budget bounds how many
+    // it can actually host.
+    auto classOf = [&](int node) {
+        return fleet.nodes[static_cast<std::size_t>(node)].dev_class;
+    };
+    serve::InstancePool pool = [&] {
+        std::vector<gpusim::DeviceSpec> node_specs;
+        for (int node = 0; node < n_nodes; node++)
+            node_specs.push_back(fleet.specOf(node));
+        return serve::InstancePool(node_specs, cfg.ram_fraction);
+    }();
+    for (int node = 0; node < n_nodes; node++)
+        for (int m = 0; m < n_models; m++)
+            if (serves[static_cast<std::size_t>(m)]
+                      [static_cast<std::size_t>(node)])
+                pool.place(m, node,
+                           versions[static_cast<std::size_t>(m)][0]
+                               .sets[static_cast<std::size_t>(
+                                   classOf(node))]
+                               .maxFootprintBytes(),
+                           cfg.models[static_cast<std::size_t>(m)]
+                               .instances_per_device);
     auto nmSlot = [&](int node, int m) {
         return static_cast<std::size_t>(node) *
                    static_cast<std::size_t>(n_models) +
                static_cast<std::size_t>(m);
     };
-    for (int node = 0; node < n_nodes; node++) {
-        const FleetNode &fn =
-            fleet.nodes[static_cast<std::size_t>(node)];
-        const auto &spec = fleet.specOf(node);
-        auto budget = static_cast<std::int64_t>(
-            cfg.ram_fraction * spec.ram_gb * 1e9);
-        int streams_made = 0;
-        for (int m = 0; m < n_models; m++) {
-            if (!serves[static_cast<std::size_t>(m)]
-                       [static_cast<std::size_t>(node)])
-                continue;
-            std::int64_t fp =
-                versions[static_cast<std::size_t>(m)][0]
-                    .sets[static_cast<std::size_t>(fn.dev_class)]
-                    .maxFootprintBytes();
-            int want = cfg.models[static_cast<std::size_t>(m)]
-                           .instances_per_node;
-            for (int i = 0; i < want; i++) {
-                if (fp > budget)
-                    break;
-                budget -= fp;
-                serve::Instance inst;
-                inst.device = node;
-                inst.model = m;
-                inst.stream = streams_made++;
-                insts_by_nm[nmSlot(node, m)].push_back(
-                    static_cast<int>(instances.size()));
-                instances.push_back(std::move(inst));
-            }
-        }
-    }
 
     // ------------------------------------------------------------
     // Routing rings: one per model over the nodes actually hosting
@@ -250,7 +232,7 @@ runFleet(const FleetConfig &cfg)
         rings.emplace_back(cfg.seed, cfg.vnodes);
         std::vector<int> members;
         for (int node = 0; node < n_nodes; node++)
-            if (!insts_by_nm[nmSlot(node, m)].empty())
+            if (!pool.instancesOf(m, node).empty())
                 members.push_back(node);
         rings.back().reset(members);
         mstats[static_cast<std::size_t>(m)].serving_nodes =
@@ -281,7 +263,6 @@ runFleet(const FleetConfig &cfg)
     for (int m = 0; m < n_models; m++)
         batchers.emplace_back(
             policies[static_cast<std::size_t>(m)]);
-    std::vector<std::int64_t> timeout_armed(queues.size(), -1);
 
     // Active build generation per (node, model); rollouts splice
     // cohorts forward while in-flight incumbent batches drain on
@@ -326,25 +307,22 @@ runFleet(const FleetConfig &cfg)
     // Next plan entry whose predicted completion is unobserved.
     std::vector<std::size_t> next_obs;
 
-    auto ladderOf = [&](int m) -> const std::vector<int> & {
-        return ladders[static_cast<std::size_t>(m)];
-    };
-    auto setOf = [&](int node, int m) -> const serve::EngineSet & {
-        int c = fleet.nodes[static_cast<std::size_t>(node)]
-                    .dev_class;
-        int v = active_ver[nmSlot(node, m)];
+    auto activeVersion = [&](int node,
+                             int m) -> const serve::EngineVersion & {
         return versions[static_cast<std::size_t>(m)]
-                       [static_cast<std::size_t>(v)]
-                           .sets[static_cast<std::size_t>(c)];
+                       [static_cast<std::size_t>(
+                           active_ver[nmSlot(node, m)])];
     };
-
     auto viewOf = [&](int node, int m) {
         serve::BackendView view;
-        view.ladder = ladderOf(m);
-        const auto &svc = setOf(node, m).service_s;
-        for (int idx : insts_by_nm[nmSlot(node, m)]) {
+        view.ladder = ladders[static_cast<std::size_t>(m)];
+        const auto &svc =
+            activeVersion(node, m)
+                .sets[static_cast<std::size_t>(classOf(node))]
+                .service_s;
+        for (int idx : pool.instancesOf(m, node)) {
             const serve::Instance &inst =
-                instances[static_cast<std::size_t>(idx)];
+                pool.instances()[static_cast<std::size_t>(idx)];
             serve::BackendView::InstanceView iv;
             iv.free_s = inst.predicted_free_s;
             iv.service_s = svc;
@@ -353,54 +331,24 @@ runFleet(const FleetConfig &cfg)
         return view;
     };
 
+    const serve::DispatchHook countDispatch =
+        [&](const serve::Instance &inst,
+            const serve::PlannedDispatch &pd) {
+            const auto mi = static_cast<std::size_t>(inst.model);
+            mstats[mi].batches++;
+            model_dispatched[mi] += pd.batch;
+        };
+    // Failed and quarantined nodes take no new dispatches.
     auto tryDispatch = [&](int node, int m, double t) {
         if (failed[static_cast<std::size_t>(node)] ||
             quarantined[static_cast<std::size_t>(node)])
             return;
-        auto slot = nmSlot(node, m);
-        auto &q = queues[slot];
-        const auto &batcher =
-            batchers[static_cast<std::size_t>(m)];
-        const serve::EngineSet &set = setOf(node, m);
-        while (!q.empty()) {
-            // Earliest predicted-free instance (ties: lowest idx).
-            int best = -1;
-            for (int idx : insts_by_nm[slot]) {
-                const serve::Instance &inst =
-                    instances[static_cast<std::size_t>(idx)];
-                if (inst.predicted_free_s > t)
-                    continue;
-                if (best < 0 ||
-                    inst.predicted_free_s <
-                        instances[static_cast<std::size_t>(best)]
-                            .predicted_free_s)
-                    best = idx;
-            }
-            if (best < 0)
-                break;
-            int cut = batcher.decide(
-                q.size(), q.oldestArrivalSeconds(), t);
-            if (cut == 0)
-                break;
-            const serve::PlannedDispatch &pd = serve::planDispatch(
-                evq, instances, best, set, active_ver[slot], t,
-                q.cut(cut), kPredFree);
-            for (std::int64_t id : pd.request_ids) {
-                serve::Request &r =
-                    requests[static_cast<std::size_t>(id)];
-                r.dispatch_s = t;
-                r.batch = cut;
-                r.device = node;
-                r.instance = best;
-                r.version = pd.version;
-            }
-            mstats[static_cast<std::size_t>(m)].batches++;
-            model_dispatched[static_cast<std::size_t>(m)] += cut;
-        }
-        if (!q.empty())
-            evq.armTimeout(timeout_armed[slot], q.frontId(),
-                           batcher.deadlineFor(q.oldestArrivalSeconds()),
-                           kTimeout, static_cast<int>(slot));
+        const auto slot = nmSlot(node, m);
+        serve::dispatchBatches(
+            evq, pool, pool.instancesOf(m, node), queues[slot],
+            batchers[static_cast<std::size_t>(m)],
+            static_cast<int>(slot), activeVersion(node, m),
+            active_ver[slot], classOf(node), t, countDispatch);
     };
 
     // Quarantine can fire mid-observation, so declare first.
@@ -497,7 +445,7 @@ runFleet(const FleetConfig &cfg)
             remap_sum += remapPct(before, ring, cfg.remap_probes);
             remap_n++;
             auto &q = queues[nmSlot(node, m)];
-            timeout_armed[nmSlot(node, m)] = -1;
+            q.timeout_armed = -1;
             if (q.empty())
                 continue;
             auto ids = q.cut(static_cast<int>(q.size()));
@@ -539,10 +487,9 @@ runFleet(const FleetConfig &cfg)
         std::vector<bool> class_mask(
             static_cast<std::size_t>(n_classes), false);
         for (int node = 0; node < n_nodes; node++)
-            if (!insts_by_nm[nmSlot(node, m)].empty())
-                class_mask[static_cast<std::size_t>(
-                    fleet.nodes[static_cast<std::size_t>(node)]
-                        .dev_class)] = true;
+            if (!pool.instancesOf(m, node).empty())
+                class_mask[static_cast<std::size_t>(classOf(node))] =
+                    true;
         serve::EngineVersion cand = buildVersion(
             m, spec.candidate_build_id, false, &class_mask);
         deploy::DriftGate gate(spec.gate);
@@ -577,7 +524,7 @@ runFleet(const FleetConfig &cfg)
                           1;
         std::vector<int> eligible;
         for (int node = 0; node < n_nodes; node++)
-            if (!insts_by_nm[nmSlot(node, m)].empty() &&
+            if (!pool.instancesOf(m, node).empty() &&
                 !quarantined[static_cast<std::size_t>(node)] &&
                 !failed[static_cast<std::size_t>(node)])
                 eligible.push_back(node);
@@ -604,7 +551,7 @@ runFleet(const FleetConfig &cfg)
               case kArrival:
                   routeRequest(e.target, e.req, e.t, true);
                   break;
-              case kTimeout: {
+              case serve::kBatchTimeout: {
                   auto slot = static_cast<std::size_t>(e.target);
                   tryDispatch(
                       static_cast<int>(slot /
@@ -616,11 +563,11 @@ runFleet(const FleetConfig &cfg)
                       e.t);
                   break;
               }
-              case kPredFree: {
+              case serve::kInstanceFree: {
                   auto ii = static_cast<std::size_t>(e.target);
                   if (next_obs.size() <= ii)
-                      next_obs.resize(instances.size(), 0);
-                  serve::Instance &inst = instances[ii];
+                      next_obs.resize(pool.instances().size(), 0);
+                  const serve::Instance &inst = pool.instances()[ii];
                   // Predicted completion of the next unobserved
                   // dispatch: feed each request's predicted SLO
                   // verdict to the node's burn-rate tracker (the
@@ -657,7 +604,7 @@ runFleet(const FleetConfig &cfg)
                   if (!quarantined[static_cast<std::size_t>(
                           node)]) {
                       for (int m = 0; m < n_models; m++) {
-                          if (insts_by_nm[nmSlot(node, m)].empty())
+                          if (pool.instancesOf(m, node).empty())
                               continue;
                           HashRing &ring =
                               rings[static_cast<std::size_t>(m)];
@@ -705,12 +652,8 @@ runFleet(const FleetConfig &cfg)
                               node)] ||
                           failed[static_cast<std::size_t>(node)])
                           continue;
-                      int c = fleet
-                                  .nodes[static_cast<std::size_t>(
-                                      node)]
-                                  .dev_class;
                       if (st.class_ok[static_cast<std::size_t>(
-                              c)]) {
+                              classOf(node))]) {
                           active_ver[nmSlot(node, st.model)] =
                               st.cand_version;
                           st.switched[static_cast<std::size_t>(
@@ -749,49 +692,42 @@ runFleet(const FleetConfig &cfg)
     // ------------------------------------------------------------
     std::vector<std::unique_ptr<obs::MetricRegistry>> node_regs;
     {
-        std::vector<std::vector<std::size_t>> node_insts(
-            static_cast<std::size_t>(n_nodes));
-        for (std::size_t i = 0; i < instances.size(); i++)
-            node_insts[static_cast<std::size_t>(instances[i].device)]
-                .push_back(i);
         for (int node = 0; node < n_nodes; node++)
             node_regs.push_back(
                 std::make_unique<obs::MetricRegistry>());
 
-        auto runNode = [&](std::size_t node) {
-            gpusim::GpuSim sim(fleet.specOf(static_cast<int>(node)),
-                               node_regs[node].get());
-            int streams = 1;
-            for (std::size_t i : node_insts[node])
-                streams = std::max(streams, instances[i].stream + 1);
-            for (int s = 1; s < streams; s++)
-                sim.createStream();
-            sim.setTraceMode(gpusim::TraceMode::kOff);
-
-            int c = fleet.nodes[node].dev_class;
+        auto runNode = [&](std::size_t ni) {
+            const int node = static_cast<int>(ni);
+            gpusim::GpuSim sim(fleet.specOf(node), node_regs[ni].get());
             std::vector<serve::PlanSource> sources;
-            for (std::size_t i : node_insts[node])
-                sources.push_back(
-                    {&instances[i],
-                     &versions[static_cast<std::size_t>(
-                         instances[i].model)],
-                     c, instances[i].stream,
-                     [](runtime::ExecutionContext &ctx) {
-                         return ctx.enqueueInference(
-                             true, true, /*staged=*/true);
-                     }});
+            for (int m = 0; m < n_models; m++)
+                for (int i : pool.instancesOf(m, node)) {
+                    serve::Instance &inst =
+                        pool.instances()[static_cast<std::size_t>(i)];
+                    if (inst.stream > 0)
+                        sim.createStream();
+                    sources.push_back(
+                        {&inst, &versions[static_cast<std::size_t>(m)],
+                         classOf(node), inst.stream,
+                         [](runtime::ExecutionContext &ctx) {
+                             return ctx.enqueueInference(
+                                 true, true, /*staged=*/true);
+                         }});
+                }
+            sim.setTraceMode(gpusim::TraceMode::kOff);
             serve::replayPlans(sim, sources);
 
             // Fold measured completions back (instance order, then
             // plan order).
-            for (std::size_t i : node_insts[node]) {
-                for (const auto &pd : instances[i].plan) {
+            for (const serve::PlanSource &src : sources) {
+                for (const auto &pd : src.inst->plan) {
                     double end = sim.eventSeconds(pd.end);
                     for (std::int64_t id : pd.request_ids) {
                         serve::Request &r =
                             requests[static_cast<std::size_t>(id)];
                         r.outcome = serve::Outcome::kCompleted;
                         r.done_s = end;
+                        r.device = node;
                     }
                 }
             }

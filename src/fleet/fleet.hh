@@ -36,29 +36,20 @@
 #include "fleet/placement.hh"
 #include "fleet/router.hh"
 #include "fleet/spec.hh"
-#include "serve/queue.hh"
-#include "serve/workload.hh"
+#include "serve/serving.hh"
 #include "watch/slo.hh"
 
 namespace edgert::fleet {
 
-/** One model served fleet-wide and its traffic contract. */
-struct FleetModelConfig
+/**
+ * One model served fleet-wide: a serve::ModelConfig whose arrivals
+ * are the *aggregate* fleet-wide load, whose precision also steers
+ * capability placement (INT8 models rank classes by their
+ * precision-effective peak) and whose instances_per_device counts
+ * per node.
+ */
+struct FleetModelConfig : serve::ModelConfig
 {
-    std::string model;      //!< nn::buildZooModel name
-    double slo_ms = 50.0;   //!< end-to-end deadline
-    serve::ArrivalConfig arrivals; //!< *aggregate* fleet-wide load
-    serve::BatchPolicy batching;
-    int instances_per_node = 1;
-
-    /** Serving precision of this model's fleet-wide engine builds;
-     *  also steers capability placement (INT8 models rank classes
-     *  by their precision-effective peak). */
-    nn::Precision precision = nn::Precision::kFp16;
-
-    /** Calibration-batch identity for @int8 / @mixed builds. */
-    std::uint64_t calibration_seed = 0;
-
     /**
      * Share of the fleet placed to serve this model, filled in
      * placement-rank order (see PlacementPolicy). 100 = everywhere.

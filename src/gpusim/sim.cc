@@ -17,6 +17,18 @@ constexpr double kFracEps = 1e-9;   // progress fraction
 
 } // namespace
 
+TraceMode
+parseTraceMode(const std::string &s)
+{
+    if (s == "full")
+        return TraceMode::kFull;
+    if (s == "sampled")
+        return TraceMode::kSampled;
+    if (s == "off")
+        return TraceMode::kOff;
+    fatal("unknown trace mode '", s, "' (expected full|sampled|off)");
+}
+
 double
 UtilStats::smUtilizationPct(int sm_count) const
 {

@@ -63,6 +63,9 @@ enum class OpKind {
  */
 enum class TraceMode { kFull, kSampled, kOff };
 
+/** Parse "full" / "sampled" / "off" (fatal on anything else). */
+TraceMode parseTraceMode(const std::string &s);
+
 /** Completed-operation trace entry (the profiler's raw material). */
 struct OpRecord
 {

@@ -108,10 +108,10 @@ RequestQueue::cut(int n)
 }
 
 double
-RequestQueue::oldestArrivalSeconds() const
+RequestQueue::oldestSeconds() const
 {
     if (pending_.empty())
-        panic("oldestArrivalSeconds() on an empty queue");
+        panic("oldestSeconds() on an empty queue");
     return pending_.front().arrival_s;
 }
 

@@ -64,8 +64,37 @@ double predictSojournSeconds(const BackendView &backend,
                              int queued_ahead, double now_s,
                              double arrival_rate_hz);
 
+/**
+ * What the batch-dispatch loop (serve::dispatchBatches) needs of a
+ * queue: its size, its oldest entry and cutting the oldest entries
+ * into a batch. It also remembers the front entry its armed batch
+ * timeout belongs to, so the timeout is re-armed only when the
+ * front changes.
+ */
+class BatchQueue
+{
+  public:
+    virtual std::size_t size() const = 0;
+    bool empty() const { return size() == 0; }
+
+    /** Time the oldest entry joined (queue must be non-empty). */
+    virtual double oldestSeconds() const = 0;
+
+    /** Id of the oldest entry (queue must be non-empty). */
+    virtual std::int64_t frontId() const = 0;
+
+    /** Dequeue the oldest `n` entries (n <= size()). */
+    virtual std::vector<std::int64_t> cut(int n) = 0;
+
+    /** Front id the armed batch timeout belongs to (-1 = none). */
+    std::int64_t timeout_armed = -1;
+
+  protected:
+    ~BatchQueue() = default; //!< not owned through the interface
+};
+
 /** Arrival-ordered queue of admitted request ids for one model. */
-class RequestQueue
+class RequestQueue final : public BatchQueue
 {
   public:
     /** @param rate_tau_s EWMA time constant of the arrival-rate
@@ -81,16 +110,18 @@ class RequestQueue
     void push(std::int64_t id, double arrival_s);
 
     /** Dequeue the oldest `n` requests (n <= size()). */
-    std::vector<std::int64_t> cut(int n);
+    std::vector<std::int64_t> cut(int n) override;
 
-    bool empty() const { return pending_.empty(); }
-    std::size_t size() const { return pending_.size(); }
+    std::size_t size() const override { return pending_.size(); }
 
     /** Arrival time of the oldest pending request. */
-    double oldestArrivalSeconds() const;
+    double oldestSeconds() const override;
 
     /** Id of the oldest pending request (queue must be non-empty). */
-    std::int64_t frontId() const { return pending_.front().id; }
+    std::int64_t frontId() const override
+    {
+        return pending_.front().id;
+    }
 
     /** EWMA arrival-rate estimate in requests/second. */
     double rateHz() const { return rate_hz_; }

@@ -43,55 +43,75 @@ EngineSet::maxFootprintBytes() const
 InstancePool::InstancePool(
     const std::vector<gpusim::DeviceSpec> &devices,
     double ram_fraction)
-    : devices_(devices),
-      ram_fraction_(ram_fraction),
-      ram_used_(devices.size(), 0)
+    : ram_used_(devices.size(), 0),
+      placed_on_(devices.size(), 0),
+      by_device_model_(devices.size())
 {
+    for (const auto &spec : devices)
+        ram_budget_.push_back(static_cast<std::int64_t>(
+            spec.ram_gb * 1024.0 * 1024.0 * 1024.0 * ram_fraction));
 }
 
 int
 InstancePool::place(int model, int device,
                     std::int64_t footprint_bytes, int want)
 {
-    if (static_cast<std::size_t>(model) >= by_model_.size())
-        by_model_.resize(static_cast<std::size_t>(model) + 1);
+    const auto mi = static_cast<std::size_t>(model);
+    const auto di = static_cast<std::size_t>(device);
+    if (mi >= by_model_.size())
+        by_model_.resize(mi + 1);
+    auto &on_device = by_device_model_.at(di);
+    if (mi >= on_device.size())
+        on_device.resize(mi + 1);
 
-    std::int64_t budget =
-        ramBudgetBytes(device) - ram_used_[
-            static_cast<std::size_t>(device)];
     int placed = 0;
-    for (int i = 0; i < want; i++) {
-        if (footprint_bytes > budget)
-            break;
-        budget -= footprint_bytes;
-        ram_used_[static_cast<std::size_t>(device)] +=
-            footprint_bytes;
+    while (placed < want &&
+           ram_used_[di] + footprint_bytes <= ram_budget_[di]) {
+        ram_used_[di] += footprint_bytes;
         Instance inst;
         inst.model = model;
         inst.device = device;
-        by_model_[static_cast<std::size_t>(model)].push_back(
-            static_cast<int>(instances_.size()));
+        inst.stream = placed_on_[di]++;
+        const int idx = static_cast<int>(instances_.size());
+        by_model_[mi].push_back(idx);
+        on_device[mi].push_back(idx);
         instances_.push_back(std::move(inst));
         placed++;
     }
     return placed;
 }
 
+namespace {
+
+const std::vector<int> kNoInstances;
+
+} // namespace
+
 const std::vector<int> &
 InstancePool::instancesOf(int model) const
 {
-    static const std::vector<int> kNone;
     if (static_cast<std::size_t>(model) >= by_model_.size())
-        return kNone;
+        return kNoInstances;
     return by_model_[static_cast<std::size_t>(model)];
 }
 
+const std::vector<int> &
+InstancePool::instancesOf(int model, int device) const
+{
+    const auto &on_device =
+        by_device_model_.at(static_cast<std::size_t>(device));
+    if (static_cast<std::size_t>(model) >= on_device.size())
+        return kNoInstances;
+    return on_device[static_cast<std::size_t>(model)];
+}
+
 int
-InstancePool::freeInstance(int model, double now_s) const
+InstancePool::freeInstance(const std::vector<int> &candidates,
+                           double now_s) const
 {
     int best = -1;
     double best_free = 0.0;
-    for (int idx : instancesOf(model)) {
+    for (int idx : candidates) {
         const Instance &inst =
             instances_[static_cast<std::size_t>(idx)];
         if (inst.predicted_free_s > now_s + 1e-12)
@@ -113,9 +133,7 @@ InstancePool::ramUsedBytes(int device) const
 std::int64_t
 InstancePool::ramBudgetBytes(int device) const
 {
-    const auto &spec = devices_.at(static_cast<std::size_t>(device));
-    double ram_bytes = spec.ram_gb * 1024.0 * 1024.0 * 1024.0;
-    return static_cast<std::int64_t>(ram_bytes * ram_fraction_);
+    return ram_budget_.at(static_cast<std::size_t>(device));
 }
 
 } // namespace edgert::serve

@@ -3,7 +3,8 @@
 
 /**
  * @file
- * Engine-instance pool and placement for EdgeServe.
+ * Engine-instance pool and placement for EdgeServe, EdgeFleet (a
+ * node is one device) and EdgeStream.
  *
  * Each model is prebuilt at power-of-two batch sizes up to its
  * max_batch (TensorRT engines are static-shape: a batch of b runs
@@ -81,7 +82,7 @@ class InstancePool
 {
   public:
     /**
-     * @param devices      The simulated fleet.
+     * @param devices      The simulated devices (fleet: one per node).
      * @param ram_fraction Share of each device's RAM available for
      *        execution contexts (the rest models the OS, CUDA and
      *        the framework itself).
@@ -91,8 +92,10 @@ class InstancePool
 
     /**
      * Place up to `want` instances of `model` on `device`, each
-     * costing `footprint_bytes`; stops at the RAM budget. Returns
-     * the number actually placed.
+     * costing `footprint_bytes`; stops at the RAM budget. Each
+     * instance takes its device's next stream ordinal (0 for the
+     * device's first instance, then 1, 2, ...). Returns the number
+     * actually placed.
      */
     int place(int model, int device, std::int64_t footprint_bytes,
               int want);
@@ -103,28 +106,34 @@ class InstancePool
         return instances_;
     }
 
-    /** Pool indices of the instances serving `model`. */
+    /** Pool indices of the instances serving `model`, ascending. */
     const std::vector<int> &instancesOf(int model) const;
 
+    /** Pool indices of `model`'s instances on `device`, ascending. */
+    const std::vector<int> &instancesOf(int model, int device) const;
+
     /**
-     * Pool index of the predicted-free instance of `model` with the
-     * earliest predicted_free_s <= now_s (ties to the lowest
-     * index), or -1 when all are predicted busy.
+     * The instance among `candidates` (ascending pool indices) with
+     * the earliest predicted_free_s <= now_s + 1e-12 s (ties to the
+     * lowest index), or -1 when all are predicted busy.
      */
-    int freeInstance(int model, double now_s) const;
+    int freeInstance(const std::vector<int> &candidates,
+                     double now_s) const;
 
     /** Bytes of context footprint placed on `device`. */
     std::int64_t ramUsedBytes(int device) const;
 
-    /** Context RAM budget of `device`. */
+    /** Context RAM budget of `device`: ram_fraction of its RAM in
+     *  GiB-based bytes. */
     std::int64_t ramBudgetBytes(int device) const;
 
   private:
-    std::vector<gpusim::DeviceSpec> devices_;
-    double ram_fraction_;
+    std::vector<std::int64_t> ram_budget_;
+    std::vector<std::int64_t> ram_used_;
+    std::vector<int> placed_on_; //!< instances per device
     std::vector<Instance> instances_;
     std::vector<std::vector<int>> by_model_;
-    std::vector<std::int64_t> ram_used_;
+    std::vector<std::vector<std::vector<int>>> by_device_model_;
 };
 
 } // namespace edgert::serve

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <set>
 #include <sstream>
 
 #include "common/json.hh"
@@ -31,9 +30,9 @@ parseDevice(const std::string &name)
 
 namespace {
 
-/** Control-event kinds; the target is the model (arrival,
- *  timeout), the instance (predicted-free) or the swap. */
-enum EventKind { kArrival, kTimeout, kPredFree, kSwapBegin, kSwapReady };
+/** Control-event kinds beside the dispatch loop's; the target is
+ *  the model (arrival) or the swap. */
+enum EventKind { kArrival = kRunnerEvent, kSwapBegin, kSwapReady };
 
 /** Per-model obs:: handles (created once, recorded in sim order). */
 struct ModelMetrics
@@ -76,13 +75,7 @@ runServer(const ServeConfig &cfg)
         fatal("EdgeServe needs at least one device");
     if (cfg.duration_s <= 0.0)
         fatal("EdgeServe duration must be positive");
-    {
-        std::set<std::string> names;
-        for (const auto &m : cfg.models)
-            if (!names.insert(m.model).second)
-                fatal("duplicate model '", m.model,
-                      "' (metric labels would collide)");
-    }
+    requireUniqueModels(cfg.models);
 
     const int n_models = static_cast<int>(cfg.models.size());
     const int n_devices = static_cast<int>(cfg.devices.size());
@@ -250,24 +243,14 @@ runServer(const ServeConfig &cfg)
         }
     }
 
-    // Per-device simulators and per-instance streams.
+    // Per-device simulators and the streams the pool numbered: each
+    // device's first instance runs on its default stream.
     DeviceSims sims;
     for (const auto &spec : cfg.devices)
         sims.push_back(std::make_unique<gpusim::GpuSim>(spec));
-    {
-        std::vector<int> streams_made(
-            static_cast<std::size_t>(n_devices), 0);
-        for (auto &inst : pool.instances()) {
-            auto &made =
-                streams_made[static_cast<std::size_t>(inst.device)];
-            inst.stream =
-                made == 0
-                    ? 0
-                    : sims[static_cast<std::size_t>(inst.device)]
-                          ->createStream();
-            made++;
-        }
-    }
+    for (const Instance &inst : pool.instances())
+        if (inst.stream > 0)
+            sims[static_cast<std::size_t>(inst.device)]->createStream();
 
     // ------------------------------------------------------------
     // Workload: per-model arrival streams from forked Rng streams,
@@ -287,8 +270,6 @@ runServer(const ServeConfig &cfg)
     for (int m = 0; m < n_models; m++)
         batchers.emplace_back(
             policies[static_cast<std::size_t>(m)]);
-    std::vector<std::int64_t> timeout_armed(
-        static_cast<std::size_t>(n_models), -1);
 
     ControlQueue evq;
     for (const auto &r : requests)
@@ -363,46 +344,19 @@ runServer(const ServeConfig &cfg)
         return view;
     };
 
+    const DispatchHook countDispatch = [&mm](const Instance &inst,
+                                             const PlannedDispatch &pd) {
+        ModelMetrics &m = mm[static_cast<std::size_t>(inst.model)];
+        m.batches.add();
+        m.batch_size.record(pd.batch);
+    };
     auto tryDispatch = [&](int m, double t) {
-        if (swap_paused[static_cast<std::size_t>(m)])
+        const auto mi = static_cast<std::size_t>(m);
+        if (swap_paused[mi])
             return;
-        auto &q = queues[static_cast<std::size_t>(m)];
-        const auto &batcher =
-            batchers[static_cast<std::size_t>(m)];
-        while (!q.empty()) {
-            int inst_idx = pool.freeInstance(m, t);
-            if (inst_idx < 0)
-                break;
-            int cut = batcher.decide(
-                q.size(), q.oldestArrivalSeconds(), t);
-            if (cut == 0)
-                break;
-            const int device =
-                pool.instances()[static_cast<std::size_t>(inst_idx)]
-                    .device;
-            const PlannedDispatch &pd = planDispatch(
-                evq, pool.instances(), inst_idx,
-                activeVersion(m).sets[static_cast<std::size_t>(device)],
-                active[static_cast<std::size_t>(m)], t, q.cut(cut),
-                kPredFree);
-            for (std::int64_t id : pd.request_ids) {
-                Request &r =
-                    requests[static_cast<std::size_t>(id)];
-                r.dispatch_s = t;
-                r.batch = cut;
-                r.device = device;
-                r.instance = inst_idx;
-                r.version = pd.version;
-            }
-            mm[static_cast<std::size_t>(m)].batches.add();
-            mm[static_cast<std::size_t>(m)].batch_size.record(cut);
-        }
-        if (!q.empty())
-            evq.armTimeout(
-                timeout_armed[static_cast<std::size_t>(m)],
-                q.frontId(),
-                batcher.deadlineFor(q.oldestArrivalSeconds()),
-                kTimeout, m);
+        dispatchBatches(evq, pool, pool.instancesOf(m), queues[mi],
+                        batchers[mi], m, activeVersion(m), active[mi],
+                        kInstanceDevice, t, countDispatch);
     };
 
     // Roll swap s back onto the incumbent: `why` is the
@@ -464,10 +418,10 @@ runServer(const ServeConfig &cfg)
                   tryDispatch(m, e.t);
                   break;
               }
-              case kTimeout:
+              case kBatchTimeout:
                   tryDispatch(e.target, e.t);
                   break;
-              case kPredFree:
+              case kInstanceFree:
                   tryDispatch(
                       pool.instances()[static_cast<std::size_t>(
                                            e.target)]
@@ -681,7 +635,8 @@ runServer(const ServeConfig &cfg)
     std::vector<double> stage_upload(requests.size(), 0.0);
     std::vector<double> stage_compute(requests.size(), 0.0);
     std::vector<double> err_sum(static_cast<std::size_t>(n_models), 0.0);
-    for (const Instance &inst : pool.instances()) {
+    for (std::size_t i = 0; i < pool.instances().size(); i++) {
+        const Instance &inst = pool.instances()[i];
         const auto &sim =
             *sims[static_cast<std::size_t>(inst.device)];
         for (const auto &pd : inst.plan) {
@@ -700,7 +655,12 @@ runServer(const ServeConfig &cfg)
                 Request &r =
                     requests[static_cast<std::size_t>(id)];
                 r.outcome = Outcome::kCompleted;
+                r.dispatch_s = pd.t_s;
                 r.done_s = end;
+                r.batch = pd.batch;
+                r.device = inst.device;
+                r.instance = static_cast<int>(i);
+                r.version = pd.version;
                 stage_begin[static_cast<std::size_t>(id)] = start;
                 stage_upload[static_cast<std::size_t>(id)] =
                     upload;

@@ -43,26 +43,6 @@
 
 namespace edgert::serve {
 
-/** One served model and its traffic contract. */
-struct ModelConfig
-{
-    std::string model;       //!< nn::buildZooModel name
-    double slo_ms = 50.0;    //!< end-to-end deadline
-    ArrivalConfig arrivals;  //!< offered-load process
-    BatchPolicy batching;    //!< dynamic-batcher knobs
-    int instances_per_device = 1;
-
-    /** Serving precision of this model's engine ladder. The pool
-     *  and the latency predictor calibrate per (device, engine,
-     *  precision) — an INT8 ladder is a different set of engines
-     *  with different fingerprints, latencies and RAM footprints
-     *  than the FP16 one. */
-    nn::Precision precision = nn::Precision::kFp16;
-
-    /** Calibration-batch identity for @int8 / @mixed ladders. */
-    std::uint64_t calibration_seed = 0;
-};
-
 /**
  * Injected engine-load faults for resilience testing. A server that
  * loads opaque plan blobs must expect some of them to be corrupt or

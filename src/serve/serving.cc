@@ -11,6 +11,42 @@
 
 namespace edgert::serve {
 
+void
+parseModelSpec(
+    const ModelSpec &spec, ModelConfig &mc,
+    const std::function<bool(const std::string &, const std::string &)>
+        &extra)
+{
+    mc.model = spec.model;
+    if (!spec.precision.empty())
+        mc.precision = nn::parsePrecisionName(spec.precision);
+    for (const auto &[k, v] : spec.options) {
+        if (k == "qps")
+            mc.arrivals.qps = spec.number(k, v);
+        else if (k == "slo_ms")
+            mc.slo_ms = spec.number(k, v);
+        else if (k == "arrival")
+            mc.arrivals.kind = parseArrivalKind(v);
+        else if (k == "max_batch")
+            mc.batching.max_batch = spec.integer(k, v);
+        else if (k == "timeout_us")
+            mc.batching.timeout_us = spec.number(k, v);
+        else if (k == "instances")
+            mc.instances_per_device = spec.integer(k, v);
+        else if (k == "burst_factor")
+            mc.arrivals.burst_factor = spec.number(k, v);
+        else if (k == "period_s")
+            mc.arrivals.period_s = spec.number(k, v);
+        else if (k == "duty")
+            mc.arrivals.duty = spec.number(k, v);
+        else if (k == "calib_seed")
+            mc.calibration_seed =
+                static_cast<std::uint64_t>(spec.integer(k, v));
+        else if (!extra || !extra(k, v))
+            spec.unknown(k);
+    }
+}
+
 obs::Counter
 modelCounter(const std::string &name, const std::string &model)
 {
@@ -46,33 +82,40 @@ ControlQueue::pop()
 }
 
 void
-ControlQueue::armTimeout(std::int64_t &armed_id, std::int64_t front_id,
-                         double deadline_s, int kind, int target)
+dispatchBatches(ControlQueue &evq, InstancePool &pool,
+                const std::vector<int> &candidates, BatchQueue &queue,
+                const DynamicBatcher &batcher, int timeout_target,
+                const EngineVersion &version, int version_index,
+                int target, double t, const DispatchHook &on_dispatch)
 {
-    if (front_id == armed_id)
-        return;
-    armed_id = front_id;
-    push(deadline_s, kind, target);
-}
-
-PlannedDispatch &
-planDispatch(ControlQueue &evq, std::vector<Instance> &instances,
-             int inst_idx, const EngineSet &set, int version, double t,
-             std::vector<std::int64_t> ids, int free_kind)
-{
-    Instance &inst = instances[static_cast<std::size_t>(inst_idx)];
-    PlannedDispatch pd;
-    pd.t_s = t;
-    pd.batch = static_cast<int>(ids.size());
-    pd.engine_idx = set.indexFor(pd.batch);
-    pd.version = version;
-    pd.request_ids = std::move(ids);
-    pd.predicted_service_s =
-        set.service_s[static_cast<std::size_t>(pd.engine_idx)];
-    inst.predicted_free_s = t + pd.predicted_service_s;
-    evq.push(inst.predicted_free_s, free_kind, inst_idx);
-    inst.plan.push_back(std::move(pd));
-    return inst.plan.back();
+    while (!queue.empty()) {
+        const int idx = pool.freeInstance(candidates, t);
+        if (idx < 0)
+            break;
+        const int cut =
+            batcher.decide(queue.size(), queue.oldestSeconds(), t);
+        if (cut == 0)
+            break;
+        Instance &inst = pool.instances()[static_cast<std::size_t>(idx)];
+        const EngineSet &set = version.sets[static_cast<std::size_t>(
+            target == kInstanceDevice ? inst.device : target)];
+        PlannedDispatch &pd = inst.plan.emplace_back();
+        pd.t_s = t;
+        pd.batch = cut;
+        pd.engine_idx = set.indexFor(cut);
+        pd.version = version_index;
+        pd.request_ids = queue.cut(cut);
+        pd.predicted_service_s =
+            set.service_s[static_cast<std::size_t>(pd.engine_idx)];
+        inst.predicted_free_s = t + pd.predicted_service_s;
+        evq.push(inst.predicted_free_s, kInstanceFree, idx);
+        on_dispatch(inst, pd);
+    }
+    if (!queue.empty() && queue.frontId() != queue.timeout_armed) {
+        queue.timeout_armed = queue.frontId();
+        evq.push(batcher.deadlineFor(queue.oldestSeconds()),
+                 kBatchTimeout, timeout_target);
+    }
 }
 
 EngineSet

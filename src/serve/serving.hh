@@ -7,12 +7,13 @@
  * (runFleet) and EdgeStream (runStreams). All three run the same two
  * deterministic phases — a control loop that plans each engine
  * instance's dispatches on BSP-predicted service times, then a GpuSim
- * replay of those plans — and share the mechanisms here: the control
- * queue, the calibrated engine-ladder build, the request table, the
+ * replay of those plans — and share the mechanisms here: the model
+ * config, the control queue, the instance pick and batch-cut loop,
+ * the calibrated engine-ladder build, the request table, the
  * windowed plan replay and the per-device report. Policy stays with
  * each caller: admission, routing and quarantine, hot-swap versus
- * staged rollout, backpressure, the instance pick, fleet placement
- * and every report's own JSON shape.
+ * staged rollout, backpressure, fleet node selection and every
+ * report's own JSON shape.
  */
 
 #include <algorithm>
@@ -22,22 +23,73 @@
 #include <optional>
 #include <ostream>
 #include <queue>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/cliflags.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/threadpool.hh"
 #include "core/builder.hh"
 #include "gpusim/device.hh"
 #include "gpusim/sim.hh"
+#include "nn/executor.hh"
 #include "obs/metrics.hh"
 #include "profile/trace_export.hh"
 #include "runtime/context.hh"
+#include "serve/batcher.hh"
+#include "serve/queue.hh"
 #include "serve/request.hh"
 #include "serve/scheduler.hh"
 #include "serve/workload.hh"
 
 namespace edgert::serve {
+
+/** One served model and its traffic contract (serve and fleet). */
+struct ModelConfig
+{
+    std::string model;       //!< nn::buildZooModel name
+    double slo_ms = 50.0;    //!< end-to-end deadline
+    ArrivalConfig arrivals;  //!< offered load (fleet: fleet-wide)
+    BatchPolicy batching;    //!< dynamic-batcher knobs
+    int instances_per_device = 1;
+
+    /** Serving precision of this model's engine ladder. The pool
+     *  and the latency predictor calibrate per (device, engine,
+     *  precision) — an INT8 ladder is a different set of engines
+     *  with different fingerprints, latencies and RAM footprints
+     *  than the FP16 one. */
+    nn::Precision precision = nn::Precision::kFp16;
+
+    /** Calibration-batch identity for @int8 / @mixed ladders. */
+    std::uint64_t calibration_seed = 0;
+};
+
+/**
+ * Fill `mc` from a `--model` spec: the model name, its precision and
+ * the keys serve and fleet share (qps, slo_ms, arrival, max_batch,
+ * timeout_us, instances, burst_factor, period_s, duty, calib_seed).
+ * Any other key goes to `extra`, which returns false for a key it
+ * does not know either; an unknown key fatal()s.
+ */
+void parseModelSpec(
+    const ModelSpec &spec, ModelConfig &mc,
+    const std::function<bool(const std::string &, const std::string &)>
+        &extra = {});
+
+/** fatal() when two models share a name: their metric labels would
+ *  collide. */
+template <typename Config>
+void
+requireUniqueModels(const std::vector<Config> &models)
+{
+    std::set<std::string> names;
+    for (const auto &m : models)
+        if (!names.insert(m.model).second)
+            fatal("duplicate model '", m.model,
+                  "' (metric labels would collide)");
+}
 
 /** The global registry's `name{model=<model>}` series. */
 obs::Counter modelCounter(const std::string &name,
@@ -45,7 +97,8 @@ obs::Counter modelCounter(const std::string &name,
 obs::Histogram modelHistogram(const std::string &name,
                               const std::string &model);
 
-/** Control-plane discrete event; `kind` is the caller's event enum. */
+/** Control-plane discrete event; `kind` is a DispatchEventKind or
+ *  one of the runner's own kinds. */
 struct ControlEvent
 {
     double t = 0.0;
@@ -67,14 +120,6 @@ class ControlQueue
     /** Remove and return the earliest event. */
     ControlEvent pop();
 
-    /**
-     * Arm (or re-arm after a front change) a queue's batch timeout:
-     * when `front_id`, the oldest queued entry, is not the one the
-     * armed timeout belongs to, push a `kind` event at `deadline_s`.
-     */
-    void armTimeout(std::int64_t &armed_id, std::int64_t front_id,
-                    double deadline_s, int kind, int target);
-
   private:
     struct After
     {
@@ -90,20 +135,6 @@ class ControlQueue
         q_;
     std::int64_t seq_ = 0;
 };
-
-/**
- * Plan one batch dispatch of `ids` on instance `inst_idx` at `t`:
- * the smallest engine of `set` fitting the batch, its calibrated
- * service time as the prediction, the instance busy until then, and
- * a `free_kind` event queued at that predicted-free time. Returns
- * the new plan entry.
- */
-PlannedDispatch &planDispatch(ControlQueue &evq,
-                              std::vector<Instance> &instances,
-                              int inst_idx, const EngineSet &set,
-                              int version, double t,
-                              std::vector<std::int64_t> ids,
-                              int free_kind);
 
 /**
  * Build `model`'s power-of-two engine ladder on `device` and
@@ -138,14 +169,52 @@ struct EngineVersion
 };
 
 /**
+ * Control-event kinds dispatchBatches queues. A runner numbers its
+ * own kinds from kRunnerEvent.
+ */
+enum DispatchEventKind : int
+{
+    kBatchTimeout, //!< target: the caller's key of the queue
+    kInstanceFree, //!< target: the instance's pool index
+    kRunnerEvent,
+};
+
+/** Engine-set target meaning "the picked instance's device". */
+inline constexpr int kInstanceDevice = -1;
+
+/** Called with each dispatch dispatchBatches plans. */
+using DispatchHook =
+    std::function<void(const Instance &, const PlannedDispatch &)>;
+
+/**
+ * The batch-cut loop of every runner. While `queue` holds work and
+ * one of `candidates` (ascending pool indices) is predicted free at
+ * `t` (InstancePool::freeInstance), `batcher` decides how many of
+ * the oldest entries to cut. A cut runs on the smallest engine of
+ * `version.sets[target]` (kInstanceDevice: the instance's device)
+ * that fits it, takes that engine's calibrated service time as its
+ * prediction, keeps the instance busy until then and queues a
+ * kInstanceFree event there; its plan entry (tagged
+ * `version_index`) goes to `on_dispatch`. A queue left with work
+ * gets its batch timeout re-armed as a kBatchTimeout event for
+ * `timeout_target` whenever its front entry changed.
+ */
+void dispatchBatches(ControlQueue &evq, InstancePool &pool,
+                     const std::vector<int> &candidates,
+                     BatchQueue &queue, const DynamicBatcher &batcher,
+                     int timeout_target, const EngineVersion &version,
+                     int version_index, int target, double t,
+                     const DispatchHook &on_dispatch);
+
+/**
  * Seeded workload: one arrival stream per model (forked from the
  * seed's "workload" lineage, in model order) merged into one table
- * ordered and numbered by arrival time. ModelConfig needs `arrivals`
- * and `slo_ms`.
+ * ordered and numbered by arrival time. Config needs `arrivals` and
+ * `slo_ms`.
  */
-template <typename ModelConfig>
+template <typename Config>
 std::vector<Request>
-requestTable(const std::vector<ModelConfig> &models, double duration_s,
+requestTable(const std::vector<Config> &models, double duration_s,
              std::uint64_t seed)
 {
     Rng root(seed);

@@ -118,14 +118,14 @@ StreamQueue::cut(int n)
 }
 
 double
-StreamQueue::oldestReadySeconds() const
+StreamQueue::oldestSeconds() const
 {
     for (std::int32_t idx : fifo_) {
         const Entry &e = entries_[static_cast<std::size_t>(idx)];
         if (!e.gone)
             return e.ready_s;
     }
-    fatal("StreamQueue::oldestReadySeconds on empty queue");
+    fatal("StreamQueue::oldestSeconds on empty queue");
 }
 
 std::int64_t

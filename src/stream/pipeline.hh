@@ -35,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/queue.hh"
+
 namespace edgert::stream {
 
 /** First-class per-stream backpressure policies. */
@@ -66,7 +68,7 @@ struct StageModel
  * are lazy deletions, so push/cut stay amortized O(1) regardless of
  * how deep a blocked queue grows.
  */
-class StreamQueue
+class StreamQueue final : public serve::BatchQueue
 {
   public:
     explicit StreamQueue(int n_streams);
@@ -82,16 +84,15 @@ class StreamQueue
                                    int frame_budget);
 
     /** Dequeue the oldest `n` live frames (n <= size()). */
-    std::vector<std::int64_t> cut(int n);
+    std::vector<std::int64_t> cut(int n) override;
 
-    bool empty() const { return live_total_ == 0; }
-    std::size_t size() const { return live_total_; }
+    std::size_t size() const override { return live_total_; }
 
     /** Ready time of the oldest live frame (queue non-empty). */
-    double oldestReadySeconds() const;
+    double oldestSeconds() const override;
 
     /** Id of the oldest live frame (queue non-empty). */
-    std::int64_t frontId() const;
+    std::int64_t frontId() const override;
 
     /** Live queued frames of one stream. */
     int queuedOf(int stream) const;

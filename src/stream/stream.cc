@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -22,9 +21,9 @@ namespace edgert::stream {
 
 namespace {
 
-/** Control-event kinds; the target is the model (ready, timeout)
- *  or the instance (predicted-free). */
-enum EventKind { kFrameReady, kTimeout, kPredFree };
+/** Control-event kind beside the dispatch loop's; the target is
+ *  the model. */
+enum EventKind { kFrameReady = serve::kRunnerEvent };
 
 /** One frame's whole lifecycle (the stream analogue of Request). */
 struct FrameRec
@@ -49,9 +48,6 @@ struct FrameRec
     Outcome outcome = kInFlight;
     double drop_s = 0.0;
 
-    int device = -1;
-    int instance = -1;
-    int batch = 0;
     double dispatch_s = 0.0;
     double begin_s = 0.0;
     double upload_done_s = 0.0;
@@ -141,17 +137,10 @@ runStreams(const StreamConfig &cfg)
         fatal("EdgeStream needs at least one device");
     if (cfg.duration_s <= 0.0)
         fatal("EdgeStream duration must be positive");
-    {
-        std::set<std::string> names;
-        for (const auto &m : cfg.models) {
-            if (m.streams < 1)
-                fatal("model '", m.model,
-                      "' needs at least one stream");
-            if (!names.insert(m.model).second)
-                fatal("duplicate model '", m.model,
-                      "' (metric labels would collide)");
-        }
-    }
+    for (const auto &m : cfg.models)
+        if (m.streams < 1)
+            fatal("model '", m.model, "' needs at least one stream");
+    serve::requireUniqueModels(cfg.models);
 
     const int n_models = static_cast<int>(cfg.models.size());
     const int n_devices = static_cast<int>(cfg.devices.size());
@@ -229,21 +218,14 @@ runStreams(const StreamConfig &cfg)
     std::vector<int> up_stream(pool.instances().size(), 0);
     std::vector<int> comp_stream(pool.instances().size(), 0);
     std::vector<int> down_stream(pool.instances().size(), 0);
-    {
-        std::vector<int> streams_made(
-            static_cast<std::size_t>(n_devices), 0);
-        for (std::size_t i = 0; i < pool.instances().size(); i++) {
-            serve::Instance &inst = pool.instances()[i];
-            auto &sim =
-                *sims[static_cast<std::size_t>(inst.device)];
-            auto &made =
-                streams_made[static_cast<std::size_t>(inst.device)];
-            up_stream[i] = made == 0 ? 0 : sim.createStream();
-            made++;
-            comp_stream[i] = sim.createStream();
-            down_stream[i] = sim.createStream();
-            inst.stream = up_stream[i]; //!< release-pinning stream
-        }
+    for (std::size_t i = 0; i < pool.instances().size(); i++) {
+        serve::Instance &inst = pool.instances()[i];
+        auto &sim = *sims[static_cast<std::size_t>(inst.device)];
+        // A device's first instance uploads on the default stream.
+        up_stream[i] = inst.stream == 0 ? 0 : sim.createStream();
+        comp_stream[i] = sim.createStream();
+        down_stream[i] = sim.createStream();
+        inst.stream = up_stream[i]; //!< release-pinning stream
     }
 
     // ------------------------------------------------------------
@@ -332,50 +314,25 @@ runStreams(const StreamConfig &cfg)
         queues.emplace_back(mc.streams);
         batchers.emplace_back(mc.batching);
     }
-    std::vector<std::int64_t> timeout_armed(
-        static_cast<std::size_t>(n_models), -1);
 
     serve::ControlQueue evq;
     for (const FrameRec &fr : frames)
         if (fr.ready_s <= cfg.duration_s) // else still decoding at the end
             evq.push(fr.ready_s, kFrameReady, fr.model, fr.id);
 
+    const serve::DispatchHook countDispatch =
+        [&mm](const serve::Instance &inst,
+              const serve::PlannedDispatch &pd) {
+            ModelMetrics &m = mm[static_cast<std::size_t>(inst.model)];
+            m.batches.add();
+            m.batch_size.record(pd.batch);
+        };
     auto tryDispatch = [&](int m, double t) {
-        auto &q = queues[static_cast<std::size_t>(m)];
-        const auto &batcher =
-            batchers[static_cast<std::size_t>(m)];
-        while (!q.empty()) {
-            int inst_idx = pool.freeInstance(m, t);
-            if (inst_idx < 0)
-                break;
-            int cut = batcher.decide(
-                q.size(), q.oldestReadySeconds(), t);
-            if (cut == 0)
-                break;
-            const int device =
-                pool.instances()[static_cast<std::size_t>(inst_idx)]
-                    .device;
-            const serve::PlannedDispatch &pd = serve::planDispatch(
-                evq, pool.instances(), inst_idx,
-                versions[static_cast<std::size_t>(m)][0]
-                    .sets[static_cast<std::size_t>(device)],
-                0, t, q.cut(cut), kPredFree);
-            for (std::int64_t id : pd.request_ids) {
-                FrameRec &fr =
-                    frames[static_cast<std::size_t>(id)];
-                fr.dispatch_s = t;
-                fr.batch = cut;
-                fr.device = device;
-                fr.instance = inst_idx;
-            }
-            mm[static_cast<std::size_t>(m)].batches.add();
-            mm[static_cast<std::size_t>(m)].batch_size.record(cut);
-        }
-        if (!q.empty())
-            evq.armTimeout(
-                timeout_armed[static_cast<std::size_t>(m)],
-                q.frontId(), batcher.deadlineFor(q.oldestReadySeconds()),
-                kTimeout, m);
+        const auto mi = static_cast<std::size_t>(m);
+        serve::dispatchBatches(evq, pool, pool.instancesOf(m),
+                               queues[mi], batchers[mi], m,
+                               versions[mi][0], 0,
+                               serve::kInstanceDevice, t, countDispatch);
     };
 
     {
@@ -405,10 +362,10 @@ runStreams(const StreamConfig &cfg)
                   tryDispatch(m, e.t);
                   break;
               }
-              case kTimeout:
+              case serve::kBatchTimeout:
                   tryDispatch(e.target, e.t);
                   break;
-              case kPredFree:
+              case serve::kInstanceFree:
                   tryDispatch(
                       pool.instances()[static_cast<std::size_t>(
                                            e.target)]
@@ -460,6 +417,7 @@ runStreams(const StreamConfig &cfg)
                 FrameRec &fr =
                     frames[static_cast<std::size_t>(id)];
                 fr.outcome = FrameRec::kCompleted;
+                fr.dispatch_s = pd.t_s;
                 fr.begin_s = begin;
                 fr.upload_done_s = upload;
                 fr.compute_done_s = compute;

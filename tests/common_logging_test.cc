@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/logging.hh"
 
 namespace edgert {
@@ -31,15 +34,22 @@ TEST(Logging, FatalFormatsMixedTypes)
     }
 }
 
-TEST(Logging, VerboseToggle)
+TEST(Logging, WarnLevelSuppressesInform)
 {
-    bool before = verbose();
-    setVerbose(false);
-    EXPECT_FALSE(verbose());
-    inform("this is suppressed; must not crash");
-    setVerbose(true);
-    EXPECT_TRUE(verbose());
-    setVerbose(before);
+    const LogLevel before = logLevel();
+    std::vector<std::string> seen;
+    setLogSink([&](LogLevel, const std::string &msg) {
+        seen.push_back(msg);
+    });
+    setLogLevel(LogLevel::kWarn);
+    inform("this is suppressed");
+    EXPECT_TRUE(seen.empty());
+    setLogLevel(LogLevel::kInfo);
+    inform("shown");
+    setLogSink({});
+    setLogLevel(before);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen.front(), "shown");
 }
 
 TEST(Logging, WarnDoesNotThrow)

@@ -38,7 +38,7 @@ TEST(RequestQueue, FifoCutOrder)
     q.push(12, 0.3);
     EXPECT_EQ(q.size(), 3u);
     EXPECT_EQ(q.frontId(), 10);
-    EXPECT_DOUBLE_EQ(q.oldestArrivalSeconds(), 0.1);
+    EXPECT_DOUBLE_EQ(q.oldestSeconds(), 0.1);
     auto ids = q.cut(2);
     ASSERT_EQ(ids.size(), 2u);
     EXPECT_EQ(ids[0], 10);

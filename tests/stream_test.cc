@@ -124,7 +124,7 @@ TEST(StreamQueue, SkipToLatestKeepsExactlyTheNewestFrame)
     EXPECT_TRUE(q.push(3, 1, 0.03, policy, 4).empty());
     EXPECT_EQ(q.queuedOf(0), 1);
     EXPECT_EQ(q.queuedOf(1), 1);
-    EXPECT_EQ(q.oldestReadySeconds(), 0.02);
+    EXPECT_EQ(q.oldestSeconds(), 0.02);
     EXPECT_EQ(q.cut(2), (std::vector<std::int64_t>{2, 3}));
 }
 

@@ -47,36 +47,13 @@ parseModelSpec(const std::string &text)
 {
     ModelSpec spec("--model", text);
     fleet::FleetModelConfig mc;
-    mc.model = spec.model;
-    if (!spec.precision.empty())
-        mc.precision = nn::parsePrecisionName(spec.precision);
-    for (const auto &[k, v] : spec.options) {
-        if (k == "qps")
-            mc.arrivals.qps = spec.number(k, v);
-        else if (k == "slo_ms")
-            mc.slo_ms = spec.number(k, v);
-        else if (k == "arrival")
-            mc.arrivals.kind = serve::parseArrivalKind(v);
-        else if (k == "max_batch")
-            mc.batching.max_batch = spec.integer(k, v);
-        else if (k == "timeout_us")
-            mc.batching.timeout_us = spec.number(k, v);
-        else if (k == "instances")
-            mc.instances_per_node = spec.integer(k, v);
-        else if (k == "nodes_pct")
+    serve::parseModelSpec(
+        spec, mc, [&](const std::string &k, const std::string &v) {
+            if (k != "nodes_pct")
+                return false;
             mc.nodes_pct = spec.number(k, v);
-        else if (k == "burst_factor")
-            mc.arrivals.burst_factor = spec.number(k, v);
-        else if (k == "period_s")
-            mc.arrivals.period_s = spec.number(k, v);
-        else if (k == "duty")
-            mc.arrivals.duty = spec.number(k, v);
-        else if (k == "calib_seed")
-            mc.calibration_seed =
-                static_cast<std::uint64_t>(spec.integer(k, v));
-        else
-            spec.unknown(k);
-    }
+            return true;
+        });
     return mc;
 }
 

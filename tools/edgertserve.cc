@@ -44,36 +44,8 @@ namespace {
 serve::ModelConfig
 parseModelSpec(const std::string &text)
 {
-    ModelSpec spec("--model", text);
     serve::ModelConfig mc;
-    mc.model = spec.model;
-    if (!spec.precision.empty())
-        mc.precision = nn::parsePrecisionName(spec.precision);
-    for (const auto &[k, v] : spec.options) {
-        if (k == "qps")
-            mc.arrivals.qps = spec.number(k, v);
-        else if (k == "slo_ms")
-            mc.slo_ms = spec.number(k, v);
-        else if (k == "arrival")
-            mc.arrivals.kind = serve::parseArrivalKind(v);
-        else if (k == "max_batch")
-            mc.batching.max_batch = spec.integer(k, v);
-        else if (k == "timeout_us")
-            mc.batching.timeout_us = spec.number(k, v);
-        else if (k == "instances")
-            mc.instances_per_device = spec.integer(k, v);
-        else if (k == "burst_factor")
-            mc.arrivals.burst_factor = spec.number(k, v);
-        else if (k == "period_s")
-            mc.arrivals.period_s = spec.number(k, v);
-        else if (k == "duty")
-            mc.arrivals.duty = spec.number(k, v);
-        else if (k == "calib_seed")
-            mc.calibration_seed =
-                static_cast<std::uint64_t>(spec.integer(k, v));
-        else
-            spec.unknown(k);
-    }
+    serve::parseModelSpec(ModelSpec("--model", text), mc);
     return mc;
 }
 
@@ -253,14 +225,9 @@ parse(int argc, char **argv)
             a.cfg.sim_threads = flags.positiveValue();
         else if (flags.is("--sim-metrics"))
             a.cfg.sim_metrics = true;
-        else if (flags.is("--trace-mode")) {
-            std::string m =
-                flags.choiceValue({"full", "sampled", "off"});
-            a.cfg.trace_mode =
-                m == "full"      ? gpusim::TraceMode::kFull
-                : m == "sampled" ? gpusim::TraceMode::kSampled
-                                 : gpusim::TraceMode::kOff;
-        } else if (flags.is("--trace-sample"))
+        else if (flags.is("--trace-mode"))
+            a.cfg.trace_mode = gpusim::parseTraceMode(flags.value());
+        else if (flags.is("--trace-sample"))
             a.cfg.trace_sample_every = flags.positiveValue();
         else if (flags.is("--report-out"))
             a.report_out = flags.value();

@@ -191,14 +191,9 @@ parse(int argc, char **argv)
             a.cfg.ram_fraction = flags.numberValue();
         else if (flags.is("--sim-threads"))
             a.cfg.sim_threads = flags.positiveValue();
-        else if (flags.is("--trace-mode")) {
-            std::string m =
-                flags.choiceValue({"full", "sampled", "off"});
-            a.cfg.trace_mode =
-                m == "full"      ? gpusim::TraceMode::kFull
-                : m == "sampled" ? gpusim::TraceMode::kSampled
-                                 : gpusim::TraceMode::kOff;
-        } else if (flags.is("--trace-sample"))
+        else if (flags.is("--trace-mode"))
+            a.cfg.trace_mode = gpusim::parseTraceMode(flags.value());
+        else if (flags.is("--trace-sample"))
             a.cfg.trace_sample_every = flags.positiveValue();
         else if (flags.is("--report-out"))
             a.report_out = flags.value();
