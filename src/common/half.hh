@@ -37,15 +37,6 @@ class Half
     /** Raw bit pattern accessor. */
     std::uint16_t bits() const { return bits_; }
 
-    /** Rebuild from a raw bit pattern. */
-    static Half
-    fromBits(std::uint16_t b)
-    {
-        Half h;
-        h.bits_ = b;
-        return h;
-    }
-
     /** Widen to float (exact). */
     float toFloat() const { return halfBitsToFloat(bits_); }
 

@@ -313,24 +313,6 @@ runFleet(const FleetConfig &cfg)
                        [static_cast<std::size_t>(
                            active_ver[nmSlot(node, m)])];
     };
-    auto viewOf = [&](int node, int m) {
-        serve::BackendView view;
-        view.ladder = ladders[static_cast<std::size_t>(m)];
-        const auto &svc =
-            activeVersion(node, m)
-                .sets[static_cast<std::size_t>(classOf(node))]
-                .service_s;
-        for (int idx : pool.instancesOf(m, node)) {
-            const serve::Instance &inst =
-                pool.instances()[static_cast<std::size_t>(idx)];
-            serve::BackendView::InstanceView iv;
-            iv.free_s = inst.predicted_free_s;
-            iv.service_s = svc;
-            view.instances.push_back(std::move(iv));
-        }
-        return view;
-    };
-
     const serve::DispatchHook countDispatch =
         [&](const serve::Instance &inst,
             const serve::PlannedDispatch &pd) {
@@ -386,6 +368,7 @@ runFleet(const FleetConfig &cfg)
                 mstats[static_cast<std::size_t>(m)].shed++;
                 return;
             }
+            const auto &policy = policies[static_cast<std::size_t>(m)];
             std::uint64_t key = ring.keyFor(id);
             int node = -1;
             if (cfg.route_policy == RoutePolicy::kHash) {
@@ -397,10 +380,9 @@ runFleet(const FleetConfig &cfg)
                 for (int cand : cands) {
                     auto &cq = queues[nmSlot(cand, m)];
                     double est = serve::predictSojournSeconds(
-                        viewOf(cand, m),
-                        policies[static_cast<std::size_t>(m)],
-                        static_cast<int>(cq.size()), t,
-                        cq.rateHz());
+                        pool, pool.instancesOf(m, cand),
+                        activeVersion(cand, m), classOf(cand), policy,
+                        static_cast<int>(cq.size()), t, cq.rateHz());
                     if (node < 0 || est < best ||
                         (est == best && cand < node)) {
                         node = cand;
@@ -408,22 +390,15 @@ runFleet(const FleetConfig &cfg)
                     }
                 }
             }
-            auto slot = nmSlot(node, m);
-            auto &q = queues[slot];
-            q.observeArrival(t);
-            if (admit && cfg.admission_control) {
-                double est_s = serve::predictSojournSeconds(
-                    viewOf(node, m),
-                    policies[static_cast<std::size_t>(m)],
-                    static_cast<int>(q.size()), t, q.rateHz());
-                if (est_s * 1e3 > r.slo_ms) {
-                    r.outcome = serve::Outcome::kShed;
-                    mstats[static_cast<std::size_t>(m)].shed++;
-                    trackerObserve(node, t, true);
-                    return;
-                }
+            if (!serve::admitArrival(
+                    r, t, queues[nmSlot(node, m)],
+                    admit && cfg.admission_control, pool,
+                    pool.instancesOf(m, node), activeVersion(node, m),
+                    classOf(node), policy)) {
+                mstats[static_cast<std::size_t>(m)].shed++;
+                trackerObserve(node, t, true);
+                return;
             }
-            q.push(id, t);
             tryDispatch(node, m, t);
         };
 

@@ -16,9 +16,12 @@
  *
  *  - sojourn: least-predicted-sojourn over a deterministic
  *    candidate set. The ring's first `choices` distinct successors
- *    of the key are scored with serve::predictSojournSeconds (the
- *    node's calibrated LatencyPredictor view) and the minimum wins,
- *    ties broken by lowest node id — the classic power-of-d-choices
+ *    of the key are scored with serve::predictSojournSeconds over
+ *    the node's own instances of the model, its active engine
+ *    version and its device class as the engine-set target (the
+ *    calibrated per-rung service times, read from the instance
+ *    pool directly) and the minimum wins, ties broken by lowest
+ *    node id — the classic power-of-d-choices
  *    balancer, made reproducible by drawing candidates from the
  *    same seeded ring the hash policy uses.
  *

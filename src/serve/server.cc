@@ -327,23 +327,6 @@ runServer(const ServeConfig &cfg)
                            active[static_cast<std::size_t>(m)])];
     };
 
-    auto backendView = [&](int m) {
-        BackendView view;
-        const EngineVersion &ver = activeVersion(m);
-        view.ladder = ladders[static_cast<std::size_t>(m)];
-        for (int idx : pool.instancesOf(m)) {
-            const Instance &inst =
-                pool.instances()[static_cast<std::size_t>(idx)];
-            BackendView::InstanceView iv;
-            iv.free_s = inst.predicted_free_s;
-            iv.service_s =
-                ver.sets[static_cast<std::size_t>(inst.device)]
-                    .service_s;
-            view.instances.push_back(std::move(iv));
-        }
-        return view;
-    };
-
     const DispatchHook countDispatch = [&mm](const Instance &inst,
                                              const PlannedDispatch &pd) {
         ModelMetrics &m = mm[static_cast<std::size_t>(inst.model)];
@@ -387,34 +370,21 @@ runServer(const ServeConfig &cfg)
               case kArrival: {
                   Request &r =
                       requests[static_cast<std::size_t>(e.req)];
-                  int m = r.model;
-                  auto &q = queues[static_cast<std::size_t>(m)];
-                  q.observeArrival(e.t);
-                  mm[static_cast<std::size_t>(m)].offered.add();
-                  if (stats[static_cast<std::size_t>(m)].degraded) {
-                      // No backend exists for this model; shed
-                      // instead of queueing forever.
-                      r.outcome = Outcome::kShed;
-                      mm[static_cast<std::size_t>(m)].shed.add();
+                  const int m = r.model;
+                  const auto mi = static_cast<std::size_t>(m);
+                  mm[mi].offered.add();
+                  // A degraded model has no instances, so all of
+                  // its traffic is shed here.
+                  if (!admitArrival(r, e.t, queues[mi],
+                                    cfg.admission_control, pool,
+                                    pool.instancesOf(m),
+                                    activeVersion(m), kInstanceDevice,
+                                    policies[mi])) {
+                      mm[mi].shed.add();
                       break;
                   }
-                  if (cfg.admission_control) {
-                      double est_s = predictSojournSeconds(
-                          backendView(m),
-                          policies[static_cast<std::size_t>(m)],
-                          static_cast<int>(q.size()), e.t,
-                          q.rateHz());
-                      if (est_s * 1e3 > r.slo_ms) {
-                          r.outcome = Outcome::kShed;
-                          mm[static_cast<std::size_t>(m)]
-                              .shed.add();
-                          break;
-                      }
-                  }
-                  q.push(r.id, e.t);
-                  mm[static_cast<std::size_t>(m)]
-                      .queue_depth.record(
-                          static_cast<double>(q.size()));
+                  mm[mi].queue_depth.record(
+                      static_cast<double>(queues[mi].size()));
                   tryDispatch(m, e.t);
                   break;
               }

@@ -118,6 +118,96 @@ dispatchBatches(ControlQueue &evq, InstancePool &pool,
     }
 }
 
+double
+predictSojournSeconds(const InstancePool &pool,
+                      const std::vector<int> &candidates,
+                      const EngineVersion &version, int target,
+                      const BatchPolicy &policy, int queued_ahead,
+                      double now_s, double arrival_rate_hz)
+{
+    if (candidates.empty())
+        return 1e9; // nothing can serve this model
+
+    // Expected wait for this request's own batch to fill: the slots
+    // left after the backlog ahead of it is packed into full
+    // batches, divided by the arrival rate, capped by the batcher's
+    // timeout.
+    int max_batch = std::max(1, policy.max_batch);
+    double timeout_s = policy.timeout_us * 1e-6;
+    int slots_open =
+        max_batch - 1 - (queued_ahead % max_batch);
+    double fill_s =
+        arrival_rate_hz > 1e-9
+            ? static_cast<double>(slots_open) / arrival_rate_hz
+            : timeout_s;
+    fill_s = std::min(fill_s, timeout_s);
+
+    // The request's own dispatch: its backlog remainder plus the
+    // arrivals expected while the batcher coalesces — not a full
+    // max_batch, or a lightly loaded server would predict the
+    // worst-case batch service for every request and shed traffic
+    // it could easily carry.
+    int growth = arrival_rate_hz > 0.0
+                     ? static_cast<int>(arrival_rate_hz * fill_s)
+                     : 0;
+    int own_batch = std::min(max_batch,
+                             queued_ahead % max_batch + 1 + growth);
+
+    // Greedily assign the backlog's full batches, then the
+    // request's own batch, onto earliest-predicted-free instances.
+    auto instanceAt = [&](std::size_t c) -> const Instance & {
+        return pool.instances()[static_cast<std::size_t>(
+            candidates[c])];
+    };
+    auto serviceOn = [&](std::size_t c, int batch) {
+        const EngineSet &set = version.sets[static_cast<std::size_t>(
+            target == kInstanceDevice ? instanceAt(c).device : target)];
+        return set.service_s[static_cast<std::size_t>(
+            set.indexFor(batch))];
+    };
+    std::vector<double> free_s;
+    free_s.reserve(candidates.size());
+    for (std::size_t c = 0; c < candidates.size(); c++)
+        free_s.push_back(
+            std::max(instanceAt(c).predicted_free_s, now_s));
+
+    auto earliest = [&]() {
+        return static_cast<std::size_t>(
+            std::min_element(free_s.begin(), free_s.end()) -
+            free_s.begin());
+    };
+    int full_batches = queued_ahead / max_batch;
+    for (int b = 0; b < full_batches; b++) {
+        std::size_t c = earliest();
+        free_s[c] += serviceOn(c, max_batch);
+    }
+    std::size_t c = earliest();
+    double done_s = free_s[c] + serviceOn(c, own_batch);
+    return std::max(0.0, done_s - now_s) + fill_s;
+}
+
+bool
+admitArrival(Request &r, double t, RequestQueue &queue, bool admission,
+             const InstancePool &pool, const std::vector<int> &candidates,
+             const EngineVersion &version, int target,
+             const BatchPolicy &policy)
+{
+    queue.observeArrival(t);
+    bool shed = candidates.empty();
+    if (!shed && admission) {
+        const double est_s = predictSojournSeconds(
+            pool, candidates, version, target, policy,
+            static_cast<int>(queue.size()), t, queue.rateHz());
+        shed = est_s * 1e3 > r.slo_ms;
+    }
+    if (shed) {
+        r.outcome = Outcome::kShed;
+        return false;
+    }
+    queue.push(r.id, t);
+    return true;
+}
+
 EngineSet
 buildEngineSet(const gpusim::DeviceSpec &device,
                const core::BuilderConfig &bcfg, const std::string &model,

@@ -8,12 +8,13 @@
  * deterministic phases — a control loop that plans each engine
  * instance's dispatches on BSP-predicted service times, then a GpuSim
  * replay of those plans — and share the mechanisms here: the model
- * config, the control queue, the instance pick and batch-cut loop,
- * the calibrated engine-ladder build, the request table, the
- * windowed plan replay and the per-device report. Policy stays with
- * each caller: admission, routing and quarantine, hot-swap versus
- * staged rollout, backpressure, fleet node selection and every
- * report's own JSON shape.
+ * config, the control queue, the SLO-admission arrival path and its
+ * sojourn predictor, the instance pick and batch-cut loop, the
+ * calibrated engine-ladder build, the request table, the windowed
+ * plan replay and the per-device report. Policy stays with each
+ * caller: whether admission is on, routing and quarantine, hot-swap
+ * versus staged rollout, backpressure, fleet node selection and
+ * every report's own JSON shape.
  */
 
 #include <algorithm>
@@ -205,6 +206,45 @@ void dispatchBatches(ControlQueue &evq, InstancePool &pool,
                      int timeout_target, const EngineVersion &version,
                      int version_index, int target, double t,
                      const DispatchHook &on_dispatch);
+
+/**
+ * Predicted sojourn (seconds from `now_s` to completion) of a
+ * request arriving now, given `queued_ahead` admitted requests
+ * already waiting, on the backend dispatchBatches would cut its
+ * batch onto: `candidates` (ascending pool indices) running the
+ * engines of `version.sets[target]` (kInstanceDevice: each
+ * instance's own device). Greedily packs the backlog into full
+ * max_batch dispatches onto earliest-predicted-free instances (ties
+ * to the first candidate); the request's own batch is sized by its
+ * backlog remainder plus the arrivals expected within the batching
+ * timeout, and the expected batch-fill wait
+ * min(timeout, slots-remaining / arrival-rate) is added on top. A
+ * b-request dispatch takes the calibrated service time of the
+ * smallest rung fitting b. With no candidates nothing can serve
+ * the request: 1e9 s.
+ */
+double predictSojournSeconds(const InstancePool &pool,
+                             const std::vector<int> &candidates,
+                             const EngineVersion &version, int target,
+                             const BatchPolicy &policy,
+                             int queued_ahead, double now_s,
+                             double arrival_rate_hz);
+
+/**
+ * The arrival path of serve and fleet: record the arrival at `t` in
+ * `queue`'s rate estimate, then shed `r` (outcome kShed, returns
+ * false) when no candidate can serve it or, with `admission` on,
+ * when its predicted sojourn on the backend (same arguments as
+ * dispatchBatches) exceeds its SLO — deadline-infeasible work is
+ * rejected while it is still cheap. Otherwise `r` joins `queue` at
+ * `t` and the call returns true; dispatching is the caller's next
+ * step.
+ */
+bool admitArrival(Request &r, double t, RequestQueue &queue,
+                  bool admission, const InstancePool &pool,
+                  const std::vector<int> &candidates,
+                  const EngineVersion &version, int target,
+                  const BatchPolicy &policy);
 
 /**
  * Seeded workload: one arrival stream per model (forked from the

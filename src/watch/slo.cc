@@ -9,8 +9,7 @@
 namespace edgert::watch {
 
 SlidingWindow::SlidingWindow(double span_s, int buckets)
-    : span_s_(span_s),
-      width_s_(span_s / std::max(1, buckets)),
+    : width_s_(span_s / std::max(1, buckets)),
       ring_(static_cast<std::size_t>(std::max(1, buckets)))
 {
     if (span_s <= 0.0)

@@ -57,8 +57,6 @@ class SlidingWindow
     /** Bad fraction in [0, 1]; 0 when the window is empty. */
     double badFraction() const;
 
-    double spanSeconds() const { return span_s_; }
-
   private:
     struct Bucket
     {
@@ -70,7 +68,6 @@ class SlidingWindow
     void evictBefore(std::int64_t min_index);
     Bucket &bucketFor(double t_s);
 
-    double span_s_;
     double width_s_;
     std::vector<Bucket> ring_;
     std::int64_t total_ = 0;

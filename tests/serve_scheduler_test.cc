@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the engine-instance pool (RAM-bounded placement, the
- * per-(model, device) index, the predicted-free pick) and the batch
- * dispatch loop that serve, fleet and stream share.
+ * per-(model, device) index, the predicted-free pick), the batch
+ * dispatch loop that serve, fleet and stream share, and the arrival
+ * path (sojourn predictor and SLO admission) of serve and fleet.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "gpusim/device.hh"
@@ -133,15 +135,17 @@ TEST(InstancePool, FreeInstancePicksEarliestThenLowestIndex)
     EXPECT_EQ(pool.freeInstance({}, 1.0), -1);
 }
 
-/** A one-target version with a 1/2/4 ladder and made-up service
- *  times (the dispatch loop reads only batches and service_s). */
+/** A version whose two targets (NX, AGX) share one ladder with
+ *  made-up service times (the dispatch loop and the predictor read
+ *  only batches and service_s). */
 EngineVersion
-ladderVersion()
+ladderVersion(std::vector<int> batches = {1, 2, 4},
+              std::vector<double> service_s = {0.001, 0.0015, 0.0025})
 {
     EngineVersion v;
     EngineSet set;
-    set.batches = {1, 2, 4};
-    set.service_s = {0.001, 0.0015, 0.0025};
+    set.batches = std::move(batches);
+    set.service_s = std::move(service_s);
     v.sets = {set, set};
     return v;
 }
@@ -201,6 +205,168 @@ TEST(DispatchBatches, CutsFullBatchesThenArmsTheTimeoutOnce)
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(evq.pop().kind, kInstanceFree);
     EXPECT_TRUE(evq.empty());
+}
+
+/** A 1/2/4/8 ladder whose batch-1 rung costs `base_s` and each
+ *  further rung 1.5x the previous. */
+std::vector<double>
+geometricService(double base_s)
+{
+    std::vector<double> out;
+    for (double s = base_s; out.size() < 4; s *= 1.5)
+        out.push_back(s);
+    return out;
+}
+
+/** Both targets on a geometric 10 ms ladder. */
+EngineVersion
+sojournVersion()
+{
+    return ladderVersion({1, 2, 4, 8}, geometricService(0.010));
+}
+
+/** `n` NX instances of model 0, each predicted free at `free_s`. */
+InstancePool
+nxPool(int n, double free_s)
+{
+    InstancePool pool(nxAndAgx(), 0.5);
+    pool.place(0, 0, kGiB, n);
+    for (Instance &inst : pool.instances())
+        inst.predicted_free_s = free_s;
+    return pool;
+}
+
+/** Model 0's predicted sojourn at t = 0 under a {8, 2 ms} policy. */
+double
+sojourn(const InstancePool &pool, const EngineVersion &ver,
+        int queued_ahead, double rate_hz, int target = kInstanceDevice)
+{
+    return predictSojournSeconds(pool, pool.instancesOf(0), ver, target,
+                                 BatchPolicy{8, 2000.0}, queued_ahead,
+                                 0.0, rate_hz);
+}
+
+TEST(Sojourn, EmptyBackendIsInfeasible)
+{
+    InstancePool pool(nxAndAgx(), 0.5);
+    EXPECT_GT(sojourn(pool, sojournVersion(), 0, 100.0), 1e6);
+}
+
+TEST(Sojourn, IdleBackendPredictsSmallBatchService)
+{
+    // Idle instance, empty queue, slow arrivals: the estimate is
+    // near fill-wait + batch-1 service, nowhere near the batch-8
+    // worst case (which would make admission shed light traffic).
+    double est = sojourn(nxPool(1, 0.0), sojournVersion(), 0, 10.0);
+    EXPECT_GE(est, 0.010);
+    EXPECT_LT(est, 0.010 * 1.5 + 0.0021); // < batch-2 svc + timeout
+}
+
+TEST(Sojourn, GrowsWithBacklog)
+{
+    const InstancePool pool = nxPool(1, 0.0);
+    double prev = -1.0;
+    for (int backlog : {0, 8, 16, 32}) {
+        double est = sojourn(pool, sojournVersion(), backlog, 100.0);
+        EXPECT_GT(est, prev);
+        prev = est;
+    }
+    // 32 queued ahead = 4 full batch-8 dispatches before ours.
+    double svc8 = 0.010 * 1.5 * 1.5 * 1.5;
+    EXPECT_GE(prev, 4 * svc8);
+}
+
+TEST(Sojourn, BusyInstanceDelaysCompletion)
+{
+    double idle = sojourn(nxPool(1, 0.0), sojournVersion(), 0, 100.0);
+    double busy = sojourn(nxPool(1, 0.5), sojournVersion(), 0, 100.0);
+    EXPECT_NEAR(busy - idle, 0.5, 1e-9);
+}
+
+TEST(Sojourn, MoreInstancesDrainBacklogFaster)
+{
+    double est1 = sojourn(nxPool(1, 0.0), sojournVersion(), 32, 100.0);
+    double est2 = sojourn(nxPool(2, 0.0), sojournVersion(), 32, 100.0);
+    EXPECT_LT(est2, est1);
+}
+
+TEST(Sojourn, InstanceDeviceReadsEachInstancesOwnSet)
+{
+    // One idle NX instance (10 ms rungs) and one idle AGX instance
+    // (4 ms rungs), 8 queued ahead, no arrivals: the backlog's full
+    // batch ties at t = 0 and goes to the first candidate (NX); the
+    // request's own batch of 1 then runs on the AGX at its batch-1
+    // service, after the whole 2 ms batching timeout.
+    InstancePool pool(nxAndAgx(), 0.5);
+    pool.place(0, 0, kGiB, 1);
+    pool.place(0, 1, kGiB, 1);
+    EngineVersion ver;
+    ver.sets = ladderVersion({1, 2, 4, 8}, geometricService(0.010)).sets;
+    ver.sets[1].service_s = geometricService(0.004);
+    EXPECT_DOUBLE_EQ(sojourn(pool, ver, 8, 0.0), 0.004 + 0.002);
+    // A fixed target reads that one set for every instance.
+    EXPECT_DOUBLE_EQ(sojourn(pool, ver, 8, 0.0, 0), 0.010 + 0.002);
+    EXPECT_DOUBLE_EQ(sojourn(pool, ver, 8, 0.0, 1), 0.004 + 0.002);
+}
+
+/** Request `id` of model 0 with a 50 ms SLO. */
+Request
+request(std::int64_t id)
+{
+    Request r;
+    r.id = id;
+    r.slo_ms = 50.0;
+    return r;
+}
+
+TEST(AdmitArrival, NoCandidateShedsEvenWithAdmissionOffAndCountsRate)
+{
+    InstancePool pool(nxAndAgx(), 0.5);
+    RequestQueue q;
+    const EngineVersion ver = sojournVersion();
+    for (int i = 0; i < 2; i++) {
+        Request r = request(i);
+        EXPECT_FALSE(admitArrival(r, 0.01 * i, q, false, pool,
+                                  pool.instancesOf(0), ver,
+                                  kInstanceDevice, BatchPolicy{}));
+        EXPECT_EQ(r.outcome, Outcome::kShed);
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(q.rateHz(), 0.0);
+}
+
+TEST(AdmitArrival, OverSloPredictionSheds)
+{
+    // The only instance is busy for 0.5 s: far past a 50 ms SLO.
+    const InstancePool pool = nxPool(1, 0.5);
+    const EngineVersion ver = sojournVersion();
+    RequestQueue q;
+    Request r = request(7);
+    EXPECT_FALSE(admitArrival(r, 0.0, q, true, pool, pool.instancesOf(0),
+                              ver, kInstanceDevice, BatchPolicy{}));
+    EXPECT_EQ(r.outcome, Outcome::kShed);
+    EXPECT_TRUE(q.empty());
+
+    // With admission off the same request queues.
+    Request late = request(8);
+    EXPECT_TRUE(admitArrival(late, 0.0, q, false, pool,
+                             pool.instancesOf(0), ver, kInstanceDevice,
+                             BatchPolicy{}));
+    EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(AdmitArrival, AdmittedRequestIsPushedAtArrivalTime)
+{
+    const InstancePool pool = nxPool(1, 0.0);
+    const EngineVersion ver = sojournVersion();
+    RequestQueue q;
+    Request r = request(3);
+    EXPECT_TRUE(admitArrival(r, 0.25, q, true, pool, pool.instancesOf(0),
+                             ver, kInstanceDevice, BatchPolicy{}));
+    EXPECT_EQ(r.outcome, Outcome::kPending);
+    ASSERT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.frontId(), 3);
+    EXPECT_DOUBLE_EQ(q.oldestSeconds(), 0.25);
 }
 
 } // namespace
